@@ -54,6 +54,12 @@ unpackChecksums(uint64_t packed)
  *
  * One shuffle per step per active checksum, so ModularParity costs two
  * shuffles per step — the Sec. VII-2 cost increment of dual checksums.
+ *
+ * The simulator runs the whole tree as one warp collective: each lane
+ * deposits once, and the last arriver replays the 5-step tree on the
+ * deposits, charging every lane exactly the cycles its per-step
+ * shuffles and folds would have cost. "Live" is the set of lanes that
+ * deposited.
  */
 Checksums warpReduceChecksums(ThreadCtx &t, Checksums local,
                               ChecksumKind kind);
@@ -86,6 +92,13 @@ Checksums blockReduceSequentialGlobal(ThreadCtx &t, Checksums local,
  * The result is valid on flat thread 0; all live threads must call.
  */
 Checksums blockReduceParallelFused(ThreadCtx &t, Checksums local);
+
+/**
+ * The warp half of blockReduceParallelFused(): Listing 4 with both
+ * checksums in one 64-bit shuffle per step, run as one warp collective
+ * like warpReduceChecksums(). Valid on lane 0.
+ */
+Checksums warpReduceFused(ThreadCtx &t, Checksums local);
 
 } // namespace gpulp
 

@@ -104,6 +104,7 @@ namespace gpulp::obs {
     X(SimWarps,            "sim.warps",              "warps",   "sim")        \
     X(SimBarrierWaits,     "sim.barrier_waits",      "arrivals", "sim")       \
     X(SimShuffles,         "sim.shuffles",           "exchanges", "sim")      \
+    X(SimWarpCollectives,  "sim.warp_collectives",   "deposits", "sim")       \
     X(SimGateWaits,        "sim.gate_waits",         "episodes", "sim")       \
     X(SimFiberSwitches,    "sim.fiber_switches",     "resumes", "sim")        \
     X(SimFiberWakeups,     "sim.fiber_wakeups",      "threads", "sim")        \

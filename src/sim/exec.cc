@@ -102,12 +102,8 @@ BlockState::BlockState(GlobalMemory &mem, MemTiming &timing, NvmCache *nvm,
       ready_(num_threads_), bar_waiters_(num_threads_),
       gate_waiters_(num_threads_)
 {
-    for (uint32_t w = 0; w < num_warps_; ++w) {
-        uint32_t lanes =
-            std::min(kWarpSize, num_threads_ - w * kWarpSize);
-        warps_[w].lanes = lanes;
-        warps_[w].live = lanes;
-    }
+    for (uint32_t w = 0; w < num_warps_; ++w)
+        warps_[w].live = std::min(kWarpSize, num_threads_ - w * kWarpSize);
     // Every thread starts ready.
     for (uint32_t t = 0; t < num_threads_; ++t)
         ready_.add(t);
@@ -247,9 +243,17 @@ BlockState::gateOrdering(uint32_t tid)
 {
     if (gate_leader_ || gate_ == nullptr)
         return;
-    if (!gate_->isLeader(rank_))
+    // Queue behind threads already parked on the gate even when the
+    // frontier has just reached this rank: letting this thread lead
+    // would order its access before lower tids' depending on when the
+    // lower ranks finished.
+    if (gate_waiters_.empty() && gate_->isLeader(rank_)) {
+        gate_leader_ = true;
+        return;
+    }
+    if (gate_waiters_.empty())
         obs::add(obs::Ctr::SimGateWaits); // one per wait episode
-    while (!gate_->isLeader(rank_)) {
+    do {
         checkCrash();
         // Park on the gate wait list: the runner wakes the whole list
         // when the frontier reaches this rank (or a crash latches, in
@@ -257,7 +261,7 @@ BlockState::gateOrdering(uint32_t tid)
         // event id is the epoch of the wake that will release us.
         parkOn(gate_waiters_, tid,
                SchedEvent{SchedEventKind::RankGate, gate_wake_epoch_});
-    }
+    } while (!gate_->isLeader(rank_));
     gate_leader_ = true;
 }
 
@@ -284,18 +288,9 @@ BlockState::maybeReleaseWarp(WarpState &w, uint32_t releaser)
         return;
     SchedEvent ev =
         warpEvent(static_cast<uint32_t>(&w - warps_.data()));
-    // Snapshot per-lane results so the next collective may reuse buf
-    // before every lane has consumed this round.
-    for (uint32_t lane = 0; lane < w.lanes; ++lane) {
-        uint32_t src = lane + w.delta;
-        bool in_range = w.delta > 0 && src < kWarpSize &&
-                        (w.deposited & (1u << src));
-        w.result[lane] = in_range ? w.buf[src] : w.buf[lane];
-    }
-    w.release_cycle = w.max_arrival + timing_.params().shuffle_cycles;
+    w.release(w.slots, timing_.params());
     w.arrived = 0;
-    w.max_arrival = 0;
-    w.deposited = 0;
+    w.slots.deposited = 0;
     ++w.generation;
     wakeWarp(w, ev, releaser);
 }
@@ -466,35 +461,75 @@ ThreadCtx::syncthreads()
 }
 
 uint64_t
-ThreadCtx::shflDownRaw(uint64_t value, uint32_t delta)
+ThreadCtx::warpCollective(uint64_t value, WarpReleaseFn release,
+                          uint64_t arg, uint32_t shuffle_steps)
 {
     BlockState &b = block_;
     b.checkCrash();
-    obs::add(obs::Ctr::SimShuffles);
+    obs::add(obs::Ctr::SimWarpCollectives);
+    obs::add(obs::Ctr::SimShuffles, shuffle_steps);
     WarpState &w = b.warps_[warpId()];
-    uint32_t lane = laneId();
-    uint64_t gen = w.generation;
+    WarpLanes &x = w.slots;
+    const uint32_t lane = laneId();
+    const uint64_t gen = w.generation;
 
-    if (w.arrived == 0)
-        w.delta = delta;
-    else
-        GPULP_ASSERT(w.delta == delta,
-                     "divergent shuffle deltas within a warp (%u vs %u)",
-                     w.delta, delta);
-    GPULP_ASSERT((w.deposited & (1u << lane)) == 0,
-                 "lane %u deposited twice in one shuffle round", lane);
+    if (w.arrived == 0) {
+        w.release = release;
+        x.arg = arg;
+    } else {
+        GPULP_ASSERT(w.release == release && x.arg == arg,
+                     "divergent collectives within a warp (argument "
+                     "%llu vs %llu)",
+                     static_cast<unsigned long long>(x.arg),
+                     static_cast<unsigned long long>(arg));
+    }
+    GPULP_ASSERT((x.deposited & (1u << lane)) == 0,
+                 "lane %u deposited twice in one warp collective", lane);
 
-    w.buf[lane] = value;
-    w.deposited |= 1u << lane;
-    w.max_arrival = std::max(w.max_arrival, cycles_);
+    x.value[lane] = value;
+    x.cycles[lane] = cycles_;
+    x.deposited |= 1u << lane;
     ++w.arrived;
     b.maybeReleaseWarp(w, flat_tid_);
     while (w.generation == gen) {
         b.parkOnWarp(w, flat_tid_);
         b.checkCrash();
     }
-    cycles_ = w.release_cycle;
-    return w.result[lane];
+    cycles_ = x.cycles[lane];
+    return x.value[lane];
+}
+
+namespace {
+
+/**
+ * shfl_down release: lane i takes lane i+delta's deposit, or keeps its
+ * own when that lane is out of range or did not deposit; every lane
+ * resumes one shuffle after the latest arrival. Lanes are visited in
+ * ascending order, so a source (always a higher lane) is read before
+ * its own slot is overwritten.
+ */
+void
+releaseShflDown(WarpLanes &x, const TimingParams &params)
+{
+    const Cycles resume = x.maxCycle() + params.shuffle_cycles;
+    const uint64_t delta = x.arg;
+    for (uint32_t bits = x.deposited; bits != 0; bits &= bits - 1) {
+        const uint32_t lane =
+            static_cast<uint32_t>(std::countr_zero(bits));
+        const uint64_t src = lane + delta;
+        if (delta > 0 && src < kWarpSize && (x.deposited >> src & 1))
+            x.value[lane] = x.value[src];
+        x.cycles[lane] = resume;
+    }
+}
+
+} // namespace
+
+uint64_t
+ThreadCtx::shflDownRaw(uint64_t value, uint32_t delta)
+{
+    return warpCollective(value, &releaseShflDown, delta,
+                          /*shuffle_steps=*/1);
 }
 
 uint32_t

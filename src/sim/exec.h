@@ -5,11 +5,20 @@
  * program against.
  *
  * Execution model: every thread of a block runs on its own fiber,
- * scheduled event-driven. Fibers suspend only inside collectives
- * (__syncthreads, warp shuffles) and on the rank gate — the same
- * points where SIMT hardware requires convergence — by parking on a
- * wait list keyed to the event that will satisfy them (barrier
- * generation, per-warp collective generation, rank-gate frontier).
+ * scheduled event-driven. Fibers suspend at exactly three places, the
+ * points where SIMT hardware requires convergence or ordering:
+ *
+ *  - __syncthreads(), once per barrier;
+ *  - a warp collective (ThreadCtx::warpCollective), once per
+ *    collective. A single shfl_down is one collective, and so is a
+ *    whole shuffle-tree reduction: every lane deposits once, the last
+ *    arriver computes all lanes' results and cycles, and each parked
+ *    lane wakes once, however many shuffle steps the tree models;
+ *  - the rank gate, before a block's first ordering-sensitive access.
+ *
+ * A fiber suspends by parking on a wait list keyed to the event that
+ * will satisfy it (barrier generation, per-warp collective
+ * generation, rank-gate frontier).
  * Releasing the event moves its waiters back to the ready set; a
  * parked fiber is never resumed just to re-poll. The runner resumes
  * ready fibers in cyclic flat-tid order, which reproduces the retired
@@ -27,6 +36,7 @@
 #ifndef GPULP_SIM_EXEC_H
 #define GPULP_SIM_EXEC_H
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -55,18 +65,45 @@ class ThreadCtx;
  */
 using OrderedRegions = std::vector<std::pair<Addr, Addr>>;
 
+/**
+ * The lane slots of one warp collective, as its release function sees
+ * them. Each live lane deposits its value and cycle counter in its own
+ * slot; the release function overwrites every depositing lane's slot
+ * with that lane's result and resume cycle. A lane reads only its own
+ * slot, and deposits again only after reading it, so one pair of
+ * arrays serves both directions.
+ */
+struct WarpLanes {
+    uint32_t deposited = 0; //!< bitmask of lanes that deposited
+    uint64_t arg = 0;       //!< the collective's argument (e.g. delta)
+    std::array<uint64_t, kWarpSize> value{}; //!< deposit in, result out
+    std::array<Cycles, kWarpSize> cycles{};  //!< arrival in, resume out
+
+    /** Latest cycle counter over the depositing lanes. */
+    Cycles
+    maxCycle() const
+    {
+        Cycles m = 0;
+        for (uint32_t bits = deposited; bits != 0; bits &= bits - 1)
+            m = std::max(m, cycles[std::countr_zero(bits)]);
+        return m;
+    }
+};
+
+/**
+ * A warp collective's release function: run once, by the last lane to
+ * arrive, over every lane's deposit. It must write the result and the
+ * resume cycle of every depositing lane.
+ */
+using WarpReleaseFn = void (*)(WarpLanes &lanes, const TimingParams &params);
+
 /** Collective-exchange state for one warp. */
 struct WarpState {
-    uint32_t lanes = 0;          //!< lanes this warp started with
     uint32_t live = 0;           //!< lanes that have not exited
     uint32_t arrived = 0;        //!< lanes at the current collective
     uint64_t generation = 0;     //!< bumps when a collective releases
-    Cycles max_arrival = 0;      //!< latest arrival cycle this round
-    Cycles release_cycle = 0;    //!< cycle at which the round released
-    uint32_t delta = 0;          //!< shuffle offset this round
-    uint32_t deposited = 0;      //!< bitmask of lanes that deposited
-    std::array<uint64_t, kWarpSize> buf{};    //!< deposited lane values
-    std::array<uint64_t, kWarpSize> result{}; //!< per-lane results
+    WarpReleaseFn release = nullptr; //!< the current collective's release
+    WarpLanes slots;             //!< per-lane deposits and results
 
     /**
      * Flat tids parked on this round, as bits positioned within the
@@ -384,7 +421,11 @@ class BlockState
      * completed). First ordering-sensitive access of the block pays
      * this once; leadership is kept until the block completes. Parks
      * the calling fiber (@p tid) on the gate wait list while waiting;
-     * throws SimCrash if a crash latches meanwhile.
+     * throws SimCrash if a crash latches meanwhile. A thread that
+     * arrives while others are parked on the gate parks behind them,
+     * even if the frontier has meanwhile reached this rank: the gate
+     * wake resumes them in tid order, so which thread leads never
+     * depends on when the lower ranks finished.
      */
     void gateOrdering(uint32_t tid);
 
@@ -427,9 +468,9 @@ class BlockState
     void maybeReleaseBarrier(uint32_t releaser);
 
     /**
-     * Release warp @p w's collective if all its live lanes arrived,
-     * moving its waiters back to the ready set. @p releaser as for
-     * maybeReleaseBarrier().
+     * Release warp @p w's collective if all its live lanes arrived:
+     * run its release function, then move its waiters back to the
+     * ready set. @p releaser as for maybeReleaseBarrier().
      */
     void maybeReleaseWarp(WarpState &w, uint32_t releaser);
 
@@ -437,7 +478,8 @@ class BlockState
      *  the policy hook) and yield. */
     void parkOn(WaitSet &waiters, uint32_t tid, SchedEvent ev);
 
-    /** Park the running fiber @p tid on warp @p w's round and yield. */
+    /** Park the running fiber @p tid on warp @p w's collective and
+     *  yield. */
     void parkOnWarp(WarpState &w, uint32_t tid);
 
     /** Move every tid on @p waiters back to the ready set, reporting
@@ -454,7 +496,7 @@ class BlockState
         return SchedEvent{SchedEventKind::Barrier, bar_generation_};
     }
 
-    /** SchedEvent for warp @p warp_idx's current collective round. */
+    /** SchedEvent for warp @p warp_idx's current collective. */
     SchedEvent
     warpEvent(uint32_t warp_idx) const
     {
@@ -754,6 +796,18 @@ class ThreadCtx
 
     /** shflDown for uint64_t. */
     uint64_t shflDown64(uint64_t value, uint32_t delta);
+
+    /**
+     * One warp-wide collective: deposit @p value, wait for every live
+     * lane of the warp, and return this lane's result. The last lane
+     * to arrive runs @p release once over all deposits; it sets every
+     * lane's result and new cycle counter. Each lane parks at most
+     * once. All live lanes must call it with the same @p release and
+     * @p arg. @p shuffle_steps is the number of per-lane shuffle steps
+     * the collective models, counted in sim.shuffles.
+     */
+    uint64_t warpCollective(uint64_t value, WarpReleaseFn release,
+                            uint64_t arg, uint32_t shuffle_steps);
 
   private:
     friend class BlockState;

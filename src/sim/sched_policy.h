@@ -38,14 +38,14 @@ class ReadySet;
 /** The event classes a fiber can park on / be woken by. */
 enum class SchedEventKind : uint8_t {
     Barrier,        //!< __syncthreads generation
-    WarpCollective, //!< one warp shuffle round
+    WarpCollective, //!< one warp collective (a shuffle or a reduction)
     RankGate,       //!< the parallel engine's cross-block rank gate
 };
 
 /**
  * One park/wake event instance. @c id disambiguates concurrent
  * instances: the barrier generation, (warp index << 32) | generation
- * for a warp round, and a per-block wake epoch for the rank gate.
+ * for a warp collective, and a per-block wake epoch for the rank gate.
  */
 struct SchedEvent {
     SchedEventKind kind;

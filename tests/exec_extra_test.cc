@@ -2,13 +2,18 @@
  * @file
  * Additional simulator-API coverage: 64-bit atomics, float atomics,
  * atomicMax, signed/64-bit shuffles, stall charging, deadlock
- * detection, shared-memory exhaustion, and the fused dual-checksum
- * reduction extension.
+ * detection, shared-memory exhaustion, the fused dual-checksum
+ * reduction extension, and warp reductions as single collectives.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/reduce.h"
+#include "obs/counters.h"
 #include "sim/device.h"
 
 namespace gpulp {
@@ -184,6 +189,165 @@ TEST(ExecExtraTest, FusedReductionIsCheaperThanTwoShuffles)
             .cycles;
     };
     EXPECT_LT(run(true), run(false));
+}
+
+// ---------------------------------------------------------------------
+// Warp reductions as one collective vs. the per-step shuffle tree
+// ---------------------------------------------------------------------
+
+/**
+ * The per-step reduction loop the simulator used to run: one shflDown
+ * rendezvous per tree step per checksum. Kept here as the reference the
+ * single-collective reductions must reproduce exactly.
+ */
+Checksums
+referenceWarpReduce(ThreadCtx &t, Checksums local, ChecksumKind kind)
+{
+    const bool use_sum = kind != ChecksumKind::Parity;
+    const bool use_parity = kind != ChecksumKind::Modular;
+    const uint32_t live = t.warpLiveLanes();
+    const uint32_t lane = t.laneId();
+    for (uint32_t offset = kWarpSize / 2; offset > 0; offset /= 2) {
+        if (use_sum) {
+            uint32_t got = t.shflDown(local.sum, offset);
+            if (lane + offset < live) {
+                local.sum += got;
+                t.compute(1);
+            }
+        }
+        if (use_parity) {
+            uint32_t got = t.shflDown(local.parity, offset);
+            if (lane + offset < live) {
+                local.parity ^= got;
+                t.compute(1);
+            }
+        }
+    }
+    return local;
+}
+
+/** The per-step fused loop: both checksums in one 64-bit shuffle. */
+Checksums
+referenceWarpReduceFused(ThreadCtx &t, Checksums local)
+{
+    const uint32_t live = t.warpLiveLanes();
+    const uint32_t lane = t.laneId();
+    uint64_t packed = packChecksums(local);
+    for (uint32_t offset = kWarpSize / 2; offset > 0; offset /= 2) {
+        uint64_t got = t.shflDown64(packed, offset);
+        if (lane + offset < live) {
+            Checksums mine = unpackChecksums(packed);
+            mine.merge(unpackChecksums(got));
+            packed = packChecksums(mine);
+            t.compute(2);
+        }
+    }
+    return unpackChecksums(packed);
+}
+
+/** What one thread saw after its warp reduction. */
+struct LaneOutcome {
+    bool ran = false;
+    Checksums value;
+    Cycles now = 0;
+};
+
+/** Fused (true) or one of the ChecksumKinds. */
+struct ReduceFlavor {
+    bool fused;
+    ChecksumKind kind;
+};
+
+/** How a block's threads reach the reduction. */
+struct ReduceShape {
+    uint32_t threads;    //!< block size (the last warp may be partial)
+    uint32_t exit_every; //!< lanes with lane % exit_every == 1 exit early
+                         //!< (0: nobody exits)
+};
+
+/**
+ * Run one block of @p shape through a warp reduction of @p flavor and
+ * return every thread's outcome and the fiber switches it took. Lanes
+ * reach the reduction at skewed cycles; early-exiting lanes leave
+ * before a barrier, so every remaining lane sees the same live count.
+ */
+std::pair<std::vector<LaneOutcome>, uint64_t>
+runWarpReduce(ReduceShape shape, ReduceFlavor flavor, bool reference)
+{
+    obs::resetCounters();
+    Device dev;
+    std::vector<LaneOutcome> out(shape.threads);
+    dev.launch(
+        LaunchConfig(Dim3(1), Dim3(shape.threads)), [&](ThreadCtx &t) {
+            const uint32_t tid = t.flatThreadIdx();
+            if (shape.exit_every != 0) {
+                if (t.laneId() % shape.exit_every == 1)
+                    return;
+                t.syncthreads();
+            }
+            t.stall((tid * 37u) % 101u);
+            Checksums local{tid * 2654435761u + 7u, ~tid * 40503u};
+            Checksums cs;
+            if (flavor.fused)
+                cs = reference ? referenceWarpReduceFused(t, local)
+                               : warpReduceFused(t, local);
+            else
+                cs = reference
+                         ? referenceWarpReduce(t, local, flavor.kind)
+                         : warpReduceChecksums(t, local, flavor.kind);
+            out[tid] = LaneOutcome{true, cs, t.now()};
+        });
+    return {out, obs::snapshotCounters()[obs::Ctr::SimFiberSwitches]};
+}
+
+TEST(ExecExtraTest, WarpReductionCollectiveMatchesPerStepShuffles)
+{
+    const bool was_enabled = obs::countersEnabled();
+    obs::setCountersEnabled(true);
+    const ReduceFlavor flavors[] = {
+        {false, ChecksumKind::Modular},
+        {false, ChecksumKind::Parity},
+        {false, ChecksumKind::ModularParity},
+        {true, ChecksumKind::ModularParity},
+    };
+    for (const ReduceFlavor &flavor : flavors) {
+        for (uint32_t live = 1; live <= kWarpSize; ++live) {
+            // A lone partial warp, a full warp plus a partial one, and
+            // a full warp thinned by early exits.
+            std::vector<ReduceShape> shapes = {{live, 0},
+                                               {kWarpSize + live, 0}};
+            if (live >= 2)
+                shapes.push_back({kWarpSize, kWarpSize / live + 1});
+            for (const ReduceShape &shape : shapes) {
+                auto [want, ref_switches] =
+                    runWarpReduce(shape, flavor, true);
+                auto [got, switches] = runWarpReduce(shape, flavor, false);
+                const std::string what =
+                    std::string(flavor.fused ? "fused"
+                                             : toString(flavor.kind)) +
+                    ", " + std::to_string(shape.threads) +
+                    " threads, exit_every " +
+                    std::to_string(shape.exit_every);
+                for (uint32_t tid = 0; tid < shape.threads; ++tid) {
+                    EXPECT_EQ(got[tid].ran, want[tid].ran)
+                        << what << ", tid " << tid;
+                    EXPECT_EQ(got[tid].value, want[tid].value)
+                        << what << ", tid " << tid;
+                    EXPECT_EQ(got[tid].now, want[tid].now)
+                        << what << ", tid " << tid;
+                }
+                // One start per thread, at most one wake per barrier
+                // and one per reduction: a lane never resumes between
+                // tree steps.
+                const uint64_t barrier_wakes =
+                    shape.exit_every != 0 ? shape.threads : 0;
+                EXPECT_LE(switches, 2 * shape.threads + barrier_wakes)
+                    << what;
+                EXPECT_LE(switches, ref_switches) << what;
+            }
+        }
+    }
+    obs::setCountersEnabled(was_enabled);
 }
 
 TEST(ExecExtraTest, ConfigLabelsAreStable)

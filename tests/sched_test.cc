@@ -20,6 +20,7 @@
 
 #include "core/lp_config.h"
 #include "core/runtime.h"
+#include "fiber/fiber.h"
 #include "obs/counters.h"
 #include "sim/exec.h"
 #include "sim/thread_pool.h"
@@ -153,7 +154,7 @@ TEST(SchedTest, MatchesPollSchedulerFixturesAtEveryWorkerCount)
  * this kernel. Event-driven parking resumes a thread only when its
  * event fires, so switches are bounded by actual arrivals:
  * one initial resume per thread plus at most one per barrier arrival
- * and one per shuffle deposit.
+ * and one per warp-collective deposit.
  */
 TEST(SchedTest, BarrierStormSwitchesScaleWithArrivalsNotPasses)
 {
@@ -177,11 +178,11 @@ TEST(SchedTest, BarrierStormSwitchesScaleWithArrivalsNotPasses)
     obs::setCountersEnabled(was_enabled);
     const uint64_t switches = snap[obs::Ctr::SimFiberSwitches];
     const uint64_t barriers = snap[obs::Ctr::SimBarrierWaits];
-    const uint64_t shuffles = snap[obs::Ctr::SimShuffles];
+    const uint64_t collectives = snap[obs::Ctr::SimWarpCollectives];
 
     // O(arrivals) bound: every switch is accounted for by a thread
-    // start, a barrier arrival or a shuffle deposit.
-    EXPECT_LE(switches, kThreads + barriers + shuffles);
+    // start, a barrier arrival or a warp-collective deposit.
+    EXPECT_LE(switches, kThreads + barriers + collectives);
 
     // Regression floor vs the poll scheduler's measured 129,048
     // resumes on this exact kernel (>= 2x reduction demanded; actual
@@ -256,6 +257,58 @@ TEST(SchedTest, NotifyAbortWakesParkedGateWaiter)
 
     EXPECT_FALSE(got_leadership)
         << "abort must release the waiter without leadership";
+}
+
+/**
+ * Rank-gate leadership must not depend on when the lower rank
+ * finished. Block rank 1 runs two threads: thread 0's atomic parks on
+ * the gate while rank 0 is still running; rank 0 then completes (here
+ * thread 1 completes it, which pins the moment) just before thread 1's
+ * own atomic. Thread 1 must queue behind thread 0 instead of taking
+ * leadership first, or the atomic order — and every cycle count that
+ * follows — would hinge on host timing. The loop below is the block
+ * runner's (Device::runBlockLocal) without policy or crash handling.
+ */
+TEST(SchedTest, GateLeadershipFollowsTidOrderNotFrontierTiming)
+{
+    GlobalMemory mem(1 << 16);
+    MemTiming timing;
+    RankGate gate(/*num_blocks=*/2, /*num_workers=*/2);
+    const LaunchConfig cfg(Dim3(2), Dim3(2));
+    BlockState block(mem, timing, /*nvm=*/nullptr, Dim3(1), cfg,
+                     /*start=*/0, /*shared_bytes=*/1024, &gate,
+                     /*rank=*/1);
+    auto counter = ArrayRef<uint32_t>::allocate(mem, 1);
+
+    uint32_t seen[2] = {~0u, ~0u};
+    ThreadCtx ctx0(block, Dim3(0), 0);
+    ThreadCtx ctx1(block, Dim3(1), 1);
+    ThreadCtx *ctxs[2] = {&ctx0, &ctx1};
+    Fiber f0([&] { seen[0] = ctx0.atomicAdd(counter.addrOf(0), 1); });
+    Fiber f1([&] {
+        gate.complete(0);
+        seen[1] = ctx1.atomicAdd(counter.addrOf(0), 1);
+    });
+    Fiber *fibers[2] = {&f0, &f1};
+
+    uint32_t last = BlockState::kNoThread;
+    while (block.liveThreads() > 0) {
+        uint32_t t = block.popReady(last);
+        if (t == BlockState::kNoThread) {
+            ASSERT_GT(block.gateParkedThreads(), 0u) << "deadlock";
+            ASSERT_TRUE(gate.awaitLeader(1, [] { return false; }));
+            block.wakeGateParked();
+            last = BlockState::kNoThread;
+            continue;
+        }
+        fibers[t]->resume();
+        if (fibers[t]->finished())
+            block.onThreadExit(*ctxs[t]);
+        last = t;
+    }
+
+    EXPECT_EQ(seen[0], 0u) << "thread 0 parked first, so it leads";
+    EXPECT_EQ(seen[1], 1u);
 }
 
 /** Frontier advance still wakes waiters (the normal path). */

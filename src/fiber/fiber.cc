@@ -96,62 +96,14 @@ ucontextEntry()
 } // namespace
 
 // ---------------------------------------------------------------------
-// StackPool
-// ---------------------------------------------------------------------
-
-StackPool::StackPool(size_t stack_size)
-    : stack_size_(roundUpToPage(stack_size))
-{
-    GPULP_ASSERT(stack_size_ >= 4096, "stack size too small");
-}
-
-StackPool::~StackPool()
-{
-    GPULP_ASSERT(outstanding_ == 0,
-                 "%zu fiber stacks still outstanding at pool destruction",
-                 outstanding_);
-    for (const auto &alloc : free_)
-        unmapStack(alloc.base, alloc.total);
-}
-
-StackPool::Allocation
-StackPool::acquire()
-{
-    ++outstanding_;
-    if (!free_.empty()) {
-        Allocation alloc = free_.back();
-        free_.pop_back();
-        return alloc;
-    }
-    Allocation alloc;
-    alloc.base = mapStack(stack_size_, &alloc.total);
-    ++allocated_;
-    return alloc;
-}
-
-void
-StackPool::release(Allocation alloc)
-{
-    GPULP_ASSERT(outstanding_ > 0, "stack released twice");
-    --outstanding_;
-    free_.push_back(alloc);
-}
-
-// ---------------------------------------------------------------------
 // Fiber
 // ---------------------------------------------------------------------
 
-Fiber::Fiber(std::function<void()> entry, StackPool *pool, size_t stack_size)
-    : entry_(std::move(entry)), pool_(pool)
+Fiber::Fiber(std::function<void()> entry, size_t stack_size)
+    : entry_(std::move(entry))
 {
     GPULP_ASSERT(entry_ != nullptr, "fiber needs an entry function");
-    if (pool_) {
-        StackPool::Allocation alloc = pool_->acquire();
-        stack_base_ = alloc.base;
-        stack_total_ = alloc.total;
-    } else {
-        stack_base_ = mapStack(stack_size, &stack_total_);
-    }
+    stack_base_ = mapStack(stack_size, &stack_total_);
 
 #if defined(__x86_64__)
     // Prepare the initial frame the context switch will "return" into:
@@ -201,18 +153,32 @@ Fiber::~Fiber()
 #ifdef GPULP_FIBER_TSAN
     __tsan_destroy_fiber(tsan_fiber_);
 #endif
+    unpoisonStack();
+    unmapStack(stack_base_, stack_total_);
+}
+
+void
+Fiber::unpoisonStack()
+{
 #ifdef GPULP_FIBER_ASAN
-    // The frames parked in the finished fiber's yield loop never unwind,
-    // so their redzones would survive into the stack's next user (the
-    // pool recycles stacks). Clear the whole usable region.
+    // Frames left on the stack (the parked runEntry loop, or ones an
+    // unwind skipped) keep their redzones, which would otherwise
+    // survive into the stack's next user: a new run, or whatever maps
+    // these pages next. Clear the whole usable region.
     __asan_unpoison_memory_region(
         static_cast<char *>(stack_base_) + pageSize(),
         stack_total_ - pageSize());
 #endif
-    if (pool_)
-        pool_->release({stack_base_, stack_total_});
-    else
-        unmapStack(stack_base_, stack_total_);
+}
+
+void
+Fiber::rearm()
+{
+    GPULP_ASSERT(!started_ || finished_,
+                 "re-arming a suspended fiber mid-execution");
+    unpoisonStack();
+    started_ = false;
+    finished_ = false;
 }
 
 void
@@ -254,29 +220,32 @@ Fiber::yield()
 {
     Fiber *self = tls_current_fiber;
     GPULP_ASSERT(self != nullptr, "Fiber::yield outside any fiber");
-#ifdef GPULP_FIBER_TSAN
-    __tsan_switch_to_fiber(self->tsan_resumer_, 0);
-#endif
-#ifdef GPULP_FIBER_ASAN
-    // A finished fiber is switching away for good: pass nullptr so ASan
-    // frees its fake-stack frames instead of parking them.
     void *fake = nullptr;
-    __sanitizer_start_switch_fiber(self->finished_ ? nullptr : &fake,
-                                   self->asan_resumer_bottom_,
-                                   self->asan_resumer_size_);
-#endif
-#if defined(__x86_64__)
-    gpulp_context_switch(&self->saved_sp_, self->resumer_sp_);
-#else
-    auto *own = static_cast<UctxPair *>(self->saved_sp_);
-    auto *res = static_cast<UctxPair *>(self->resumer_sp_);
-    swapcontext(&own->ctx, &res->ctx);
-#endif
+    self->switchToResumer(&fake);
 #ifdef GPULP_FIBER_ASAN
     // Back on the fiber: re-capture the resumer's bounds — a pooled
     // worker other than last time's may be driving us now.
     __sanitizer_finish_switch_fiber(fake, &self->asan_resumer_bottom_,
                                     &self->asan_resumer_size_);
+#endif
+}
+
+void
+Fiber::switchToResumer([[maybe_unused]] void **fake_stack_save)
+{
+#ifdef GPULP_FIBER_TSAN
+    __tsan_switch_to_fiber(tsan_resumer_, 0);
+#endif
+#ifdef GPULP_FIBER_ASAN
+    __sanitizer_start_switch_fiber(fake_stack_save, asan_resumer_bottom_,
+                                   asan_resumer_size_);
+#endif
+#if defined(__x86_64__)
+    gpulp_context_switch(&saved_sp_, resumer_sp_);
+#else
+    auto *own = static_cast<UctxPair *>(saved_sp_);
+    auto *res = static_cast<UctxPair *>(resumer_sp_);
+    swapcontext(&own->ctx, &res->ctx);
 #endif
 }
 
@@ -289,19 +258,22 @@ Fiber::current()
 void
 Fiber::runEntry()
 {
+    for (;;) {
 #ifdef GPULP_FIBER_ASAN
-    // First instant on this stack: complete the switch resume() started
-    // (no fake stack yet) and capture the resumer's stack bounds for
-    // the first yield.
-    __sanitizer_finish_switch_fiber(nullptr, &asan_resumer_bottom_,
-                                    &asan_resumer_size_);
+        // First instant of a run: complete the switch resume() started
+        // (no fake stack to restore) and capture the resumer's stack
+        // bounds for the first yield.
+        __sanitizer_finish_switch_fiber(nullptr, &asan_resumer_bottom_,
+                                        &asan_resumer_size_);
 #endif
-    entry_();
-    finished_ = true;
-    // Keep handing control back to the resumer; a finished fiber must
-    // not fall off the end of its trampoline frame.
-    while (true)
-        yield();
+        entry_();
+        finished_ = true;
+        // Park here until rearm() and resume() start the next run; the
+        // entry's frames are gone, so ASan may free the fake stack.
+        // Looping instead of rebuilding the initial frame keeps TSan's
+        // shadow call stack for this fiber balanced across runs.
+        switchToResumer(nullptr);
+    }
 }
 
 void

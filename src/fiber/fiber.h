@@ -6,8 +6,8 @@
  * that CUDA-like collectives — __syncthreads(), warp shuffles — can
  * block a thread mid-kernel and hand control to its siblings, exactly
  * as SIMT hardware interleaves warps. Fibers are resumed only by the
- * block executor; they are not thread-safe and must stay on the OS
- * thread that created them.
+ * block executor and are not thread-safe (see Fiber for which OS
+ * thread may resume one).
  *
  * On x86-64 the context switch is a 12-instruction assembly routine
  * (callee-saved registers + stack pointer), roughly an order of
@@ -15,6 +15,13 @@
  * system call per switch. Other architectures fall back to ucontext.
  * Stacks are mmap'd with a PROT_NONE guard page below the usable area
  * so overflow faults loudly instead of corrupting a neighbour.
+ *
+ * A fiber is built once and re-armed for every later run: rearm()
+ * makes a finished fiber run its entry again from the top, on the
+ * stack it already owns. The block executor keeps one fiber per
+ * simulated thread slot per worker and re-arms it for each thread
+ * block, so no stack is mapped, no entry is allocated and no
+ * sanitizer fiber handle is created per block.
  */
 
 #ifndef GPULP_FIBER_FIBER_H
@@ -22,8 +29,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
-#include <vector>
 
 /*
  * Sanitizer support: ASan tracks stack bounds (and fake-stack frames)
@@ -50,14 +55,17 @@
 
 namespace gpulp {
 
-class StackPool;
-
 /**
  * One cooperatively scheduled fiber.
  *
  * Lifecycle: construct with an entry function, call resume() to run it
  * until the entry either calls Fiber::yield() or returns. A finished
- * fiber must not be resumed again.
+ * fiber must not be resumed again until rearm() starts a new run.
+ *
+ * Threads: a suspended fiber must be resumed on the OS thread it last
+ * ran on (compiled code may keep thread-local addresses across the
+ * switch). A finished fiber holds no such frames, so once re-armed it
+ * may run on any thread.
  */
 class Fiber
 {
@@ -76,13 +84,12 @@ class Fiber
     /**
      * Create a fiber.
      *
-     * @param entry Function executed on the fiber's own stack.
-     * @param pool Stack pool to draw the stack from; pass nullptr to
-     *             allocate a private stack.
+     * @param entry Function executed on the fiber's own stack, once per
+     *             run.
      * @param stack_size Usable stack size in bytes (rounded up to page
-     *             granularity) when no pool is given.
+     *             granularity).
      */
-    explicit Fiber(std::function<void()> entry, StackPool *pool = nullptr,
+    explicit Fiber(std::function<void()> entry,
                    size_t stack_size = kDefaultStackSize);
 
     /** Destroying a suspended (unfinished) fiber is a programming error. */
@@ -97,26 +104,48 @@ class Fiber
      */
     void resume();
 
+    /**
+     * Start a new run of a finished fiber: the next resume() calls the
+     * entry again from the top, on the same stack, with the same
+     * sanitizer fiber handle. A fiber that never started is left as
+     * is. Re-arming a suspended fiber (started, not finished) panics:
+     * its frames are still live.
+     */
+    void rearm();
+
     /** Suspend the calling fiber, returning control to its resumer. */
     static void yield();
 
     /** The fiber currently executing on this OS thread, or nullptr. */
     static Fiber *current();
 
-    /** True once the entry function has returned. */
+    /** True once the current run's entry function has returned. */
     bool finished() const { return finished_; }
 
-    /** True if the fiber has been resumed at least once. */
+    /** True if the fiber has been resumed since it was built or re-armed. */
     bool started() const { return started_; }
 
   private:
     friend void fiberEntryThunk(Fiber *fiber);
 
-    /** Body run on the fiber stack; never returns. */
+    /**
+     * Body run on the fiber stack: one entry call per run, parking in
+     * between. Never returns, so every run after the first starts from
+     * the same frame.
+     */
     [[noreturn]] void runEntry();
 
+    /**
+     * Switch back to the resumer; returns when resumed. Under ASan,
+     * @p fake_stack_save receives this fiber's fake stack (nullptr: the
+     * run is over, let ASan free it).
+     */
+    void switchToResumer(void **fake_stack_save);
+
+    /** ASan: clear poison left on the usable stack (no-op otherwise). */
+    void unpoisonStack();
+
     std::function<void()> entry_;
-    StackPool *pool_ = nullptr;
     void *stack_base_ = nullptr;   //!< mmap base (guard page included)
     size_t stack_total_ = 0;       //!< mmap length
     void *saved_sp_ = nullptr;     //!< fiber's suspended stack pointer
@@ -133,54 +162,6 @@ class Fiber
     void *tsan_fiber_ = nullptr;   //!< TSan shadow state for this fiber
     void *tsan_resumer_ = nullptr; //!< shadow state to switch back to
 #endif
-};
-
-/**
- * Pool of reusable fiber stacks of a single size.
- *
- * The block executor creates and destroys hundreds of thousands of
- * fibers per kernel; pooling makes stack setup a pointer pop instead of
- * an mmap round trip.
- */
-class StackPool
-{
-  public:
-    /** All stacks in this pool have this usable size. */
-    explicit StackPool(size_t stack_size = Fiber::kDefaultStackSize);
-
-    /** Unmaps every pooled stack. Outstanding stacks must be returned. */
-    ~StackPool();
-
-    StackPool(const StackPool &) = delete;
-    StackPool &operator=(const StackPool &) = delete;
-
-    /** Usable bytes per stack. */
-    size_t stackSize() const { return stack_size_; }
-
-    /** Number of stacks currently cached and ready for reuse. */
-    size_t freeCount() const { return free_.size(); }
-
-    /** Total stacks ever allocated by this pool. */
-    size_t allocatedCount() const { return allocated_; }
-
-  private:
-    friend class Fiber;
-
-    struct Allocation {
-        void *base;      //!< mmap base including guard page
-        size_t total;    //!< mmap length
-    };
-
-    /** Pop a cached stack or mmap a fresh one. */
-    Allocation acquire();
-
-    /** Return a stack for reuse. */
-    void release(Allocation alloc);
-
-    size_t stack_size_;
-    size_t allocated_ = 0;
-    size_t outstanding_ = 0;
-    std::vector<Allocation> free_;
 };
 
 } // namespace gpulp

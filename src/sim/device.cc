@@ -62,6 +62,52 @@ Device::resolveWorkers() const
     return w;
 }
 
+Device::WorkerState::WorkerState(GlobalMemory &mem,
+                                 const DeviceParams &params)
+    : timing(params.timing), block(mem, timing, params.shared_bytes),
+      stack_bytes(params.fiber_stack_bytes)
+{
+    timing.setTracing(true);
+}
+
+void
+Device::WorkerState::beginBlock(const KernelFn &fn, const LaunchConfig &cfg,
+                                uint32_t n)
+{
+    kernel = &fn;
+    crashed = false;
+    // ThreadCtx is trivially destructible: clear() keeps the capacity,
+    // so this constructs in place without allocating.
+    ctxs.clear();
+    for (uint32_t t = 0; t < n; ++t) {
+        uint32_t tx = t % cfg.block.x;
+        uint32_t ty = (t / cfg.block.x) % cfg.block.y;
+        uint32_t tz = t / (cfg.block.x * cfg.block.y);
+        ctxs.emplace_back(block, Dim3(tx, ty, tz), t);
+    }
+    // The entry names its slot, not a ThreadCtx address, so growing
+    // ctxs never leaves a fiber holding a stale pointer.
+    while (fibers.size() < n) {
+        const uint32_t t = static_cast<uint32_t>(fibers.size());
+        fibers.push_back(std::make_unique<Fiber>(
+            [this, t] { runThread(t); }, stack_bytes));
+    }
+    for (uint32_t t = 0; t < n; ++t)
+        fibers[t]->rearm();
+}
+
+void
+Device::WorkerState::runThread(uint32_t t)
+{
+    try {
+        (*kernel)(ctxs[t]);
+    } catch (const SimCrash &) {
+        crashed = true;
+    } catch (const std::exception &e) {
+        GPULP_PANIC("kernel thread threw: %s", e.what());
+    }
+}
+
 void
 Device::runBlockLocal(const LaunchConfig &cfg, uint64_t rank,
                       const KernelFn &kernel, WorkerState &ws,
@@ -71,8 +117,9 @@ Device::runBlockLocal(const LaunchConfig &cfg, uint64_t rank,
     obs::add(obs::Ctr::SimBlocks);
     obs::TraceSpan block_span("block", "sim", rank, "rank");
     Dim3 block_idx = cfg.blockIdxOf(rank);
-    BlockState state(mem_, ws.timing, nvm_, block_idx, cfg, /*start=*/0,
-                     params_.shared_bytes, gate, rank, &ordered_regions_);
+    BlockState &state = ws.block;
+    state.reset(nvm_, block_idx, cfg, /*start=*/0, gate, rank,
+                &ordered_regions_);
     const uint32_t n = state.numThreads();
 
     std::unique_ptr<SchedulePolicy> policy;
@@ -84,34 +131,9 @@ Device::runBlockLocal(const LaunchConfig &cfg, uint64_t rank,
         }
     }
 
-    std::vector<ThreadCtx> ctxs;
-    ctxs.reserve(n);
-    for (uint32_t t = 0; t < n; ++t) {
-        uint32_t tx = t % cfg.block.x;
-        uint32_t ty = (t / cfg.block.x) % cfg.block.y;
-        uint32_t tz = t / (cfg.block.x * cfg.block.y);
-        ctxs.emplace_back(state, Dim3(tx, ty, tz), t);
-    }
-
-    bool block_crashed = false;
-    std::vector<std::unique_ptr<Fiber>> fibers;
-    fibers.reserve(n);
-    for (uint32_t t = 0; t < n; ++t) {
-        ThreadCtx *ctx = &ctxs[t];
-        const KernelFn *fn = &kernel;
-        bool *crashed_flag = &block_crashed;
-        fibers.push_back(std::make_unique<Fiber>(
-            [ctx, fn, crashed_flag] {
-                try {
-                    (*fn)(*ctx);
-                } catch (const SimCrash &) {
-                    *crashed_flag = true;
-                } catch (const std::exception &e) {
-                    GPULP_PANIC("kernel thread threw: %s", e.what());
-                }
-            },
-            &ws.stacks));
-    }
+    ws.beginBlock(kernel, cfg, n);
+    std::vector<ThreadCtx> &ctxs = ws.ctxs;
+    std::vector<std::unique_ptr<Fiber>> &fibers = ws.fibers;
 
     // Event-driven scheduling: resume ready fibers in cyclic flat-tid
     // order; fibers parked on a collective or the rank gate rejoin the
@@ -151,7 +173,7 @@ Device::runBlockLocal(const LaunchConfig &cfg, uint64_t rank,
     }
     obs::add(obs::Ctr::SimFiberSwitches, switches);
 
-    out.crashed = block_crashed;
+    out.crashed = ws.crashed;
     Cycles end = 0;
     for (const ThreadCtx &ctx : ctxs)
         end = std::max(end, ctx.now());
@@ -195,10 +217,8 @@ Device::launch(const LaunchConfig &cfg, const KernelFn &kernel)
     const uint32_t workers = static_cast<uint32_t>(
         std::min<uint64_t>(resolveWorkers(), num_blocks));
 
-    while (worker_states_.size() < workers) {
-        worker_states_.push_back(std::make_unique<WorkerState>(
-            params_.timing, params_.fiber_stack_bytes));
-    }
+    while (worker_states_.size() < workers)
+        worker_states_.push_back(std::make_unique<WorkerState>(mem_, params_));
 
     RankGate gate(num_blocks, workers);
     RankGate *gate_ptr = params_.strict_atomic_order ? &gate : nullptr;

@@ -1,6 +1,7 @@
 #include "exec.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/floatbits.h"
 #include "fiber/fiber.h"
@@ -89,24 +90,50 @@ ReadySet::popNextSlow(uint32_t from)
 // BlockState
 // ---------------------------------------------------------------------
 
-BlockState::BlockState(GlobalMemory &mem, MemTiming &timing, NvmCache *nvm,
-                       Dim3 block_idx, const LaunchConfig &cfg, Cycles start,
-                       size_t shared_bytes, RankGate *gate, uint64_t rank,
-                       const OrderedRegions *ordered)
-    : mem_(mem), timing_(timing), nvm_(nvm), block_idx_(block_idx),
-      cfg_(cfg), start_(start), gate_(gate), rank_(rank),
-      ordered_(ordered != nullptr && !ordered->empty() ? ordered : nullptr),
-      num_threads_(cfg.threadsPerBlock()),
-      num_warps_((num_threads_ + kWarpSize - 1) / kWarpSize),
-      live_(num_threads_), warps_(num_warps_), shared_(shared_bytes, 0),
-      ready_(num_threads_), bar_waiters_(num_threads_),
-      gate_waiters_(num_threads_)
+BlockState::BlockState(GlobalMemory &mem, MemTiming &timing,
+                       size_t shared_bytes)
+    : mem_(mem), timing_(timing), shared_(shared_bytes), ready_(0),
+      bar_waiters_(0), gate_waiters_(0)
 {
+}
+
+void
+BlockState::reset(NvmCache *nvm, Dim3 block_idx, const LaunchConfig &cfg,
+                  Cycles start, RankGate *gate, uint64_t rank,
+                  const OrderedRegions *ordered)
+{
+    nvm_ = nvm;
+    block_idx_ = block_idx;
+    cfg_ = cfg;
+    start_ = start;
+    gate_ = gate;
+    rank_ = rank;
+    ordered_ = ordered != nullptr && !ordered->empty() ? ordered : nullptr;
+    gate_leader_ = false;
+    num_threads_ = cfg.threadsPerBlock();
+    num_warps_ = (num_threads_ + kWarpSize - 1) / kWarpSize;
+    live_ = num_threads_;
+
+    bar_arrived_ = 0;
+    bar_generation_ = 0;
+    bar_max_arrival_ = 0;
+    bar_release_cycle_ = 0;
+
+    warps_.assign(num_warps_, WarpState{});
     for (uint32_t w = 0; w < num_warps_; ++w)
         warps_[w].live = std::min(kWarpSize, num_threads_ - w * kWarpSize);
+
+    // Claims zero their own bytes; nothing else of the arena is visible.
+    shared_next_ = 0;
+    shared_slots_.clear();
+
     // Every thread starts ready.
-    for (uint32_t t = 0; t < num_threads_; ++t)
-        ready_.add(t);
+    ready_.resetAllReady(num_threads_);
+    bar_waiters_.reset(num_threads_);
+    gate_waiters_.reset(num_threads_);
+
+    policy_ = nullptr;
+    gate_wake_epoch_ = 0;
 }
 
 namespace {
@@ -222,9 +249,17 @@ BlockState::onThreadExit(ThreadCtx &thread)
 size_t
 BlockState::sharedSlot(uint32_t slot_id, size_t bytes)
 {
-    auto it = shared_slots_.find(slot_id);
-    if (it != shared_slots_.end())
-        return it->second;
+    for (const SharedSlot &slot : shared_slots_) {
+        if (slot.id == slot_id) {
+            // A larger re-declaration would run into the next slot (or
+            // past the arena) with every SharedRef bounds check passing.
+            GPULP_ASSERT(bytes <= slot.bytes,
+                         "shared slot %u re-declared with %zu bytes, "
+                         "more than the %zu it was first declared with",
+                         slot_id, bytes, slot.bytes);
+            return slot.offset;
+        }
+    }
     size_t aligned = (shared_next_ + 15) & ~size_t{15};
     // Report the post-alignment watermark: when 16-byte padding is
     // what pushes the slot over, the pre-padding figure would claim
@@ -233,8 +268,9 @@ BlockState::sharedSlot(uint32_t slot_id, size_t bytes)
                  "shared memory exhausted: slot %u needs %zu bytes, "
                  "%zu of %zu used",
                  slot_id, bytes, aligned, shared_.size());
+    std::memset(shared_.data() + aligned, 0, bytes);
     shared_next_ = aligned + bytes;
-    shared_slots_.emplace(slot_id, aligned);
+    shared_slots_.push_back({slot_id, aligned, bytes});
     return aligned;
 }
 

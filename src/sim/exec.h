@@ -40,9 +40,9 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/zeroed_buffer.h"
 #include "mem/memory.h"
 #include "mem/timing.h"
 #include "nvm/nvm_cache.h"
@@ -120,7 +120,15 @@ struct WarpState {
  * set instead of a per-thread walk.
  */
 struct WaitSet {
-    explicit WaitSet(uint32_t n) : bits((n + 63) / 64, 0) {}
+    explicit WaitSet(uint32_t n) { reset(n); }
+
+    /** Empty the set and size it for @p n threads, reusing its words. */
+    void
+    reset(uint32_t n)
+    {
+        bits.assign((n + 63) / 64, 0);
+        count = 0;
+    }
 
     /** Mark @p tid parked. */
     void
@@ -156,6 +164,18 @@ class ReadySet
     explicit ReadySet(uint32_t n)
         : bits_((n + 63) / 64, 0), n_(n)
     {
+    }
+
+    /** Size the set for @p n threads, all ready, reusing its words. */
+    void
+    resetAllReady(uint32_t n)
+    {
+        n_ = n;
+        bits_.assign((n + 63) / 64, ~uint64_t{0});
+        if (n % 64 != 0)
+            bits_.back() = (uint64_t{1} << (n % 64)) - 1;
+        count_ = n;
+        debugCheckCount();
     }
 
     /** Number of ready threads. */
@@ -309,30 +329,45 @@ class ReadySet
  * Per-thread-block execution state shared by the block's ThreadCtx
  * instances: the barrier, warp collective slots, shared memory and
  * progress/deadlock accounting.
+ *
+ * One instance serves a whole sequence of blocks: reset() starts the
+ * next one, reusing every buffer, so a block runner that keeps its
+ * BlockState allocates nothing per block once the buffers have grown
+ * to the largest block it ran.
  */
 class BlockState
 {
   public:
     /**
      * @param mem Device global memory (for crash-state queries only).
-     * @param timing Timing model shared by the launch.
+     * @param timing Timing model the blocks charge.
+     * @param shared_bytes Shared-memory capacity of each block: the
+     *        size of the arena, which is mapped once and whose pages
+     *        become resident only when a block claims them.
+     *
+     * Call reset() before running a block.
+     */
+    BlockState(GlobalMemory &mem, MemTiming &timing, size_t shared_bytes);
+
+    BlockState(const BlockState &) = delete;
+    BlockState &operator=(const BlockState &) = delete;
+
+    /**
+     * Start a block: every thread ready, no collective pending, no
+     * shared slot claimed, no policy installed.
+     *
      * @param nvm NVM model, or nullptr when persistency is not modelled.
      * @param block_idx This block's index in the grid.
      * @param cfg The launch configuration.
      * @param start Absolute cycle at which this block's SM started it.
-     * @param shared_bytes Shared-memory capacity for the block.
      * @param gate Rank gate serializing ordering-sensitive accesses, or
      *        nullptr to run ungated (single worker / relaxed order).
      * @param rank This block's flat rank in the grid.
      * @param ordered Declared ordered regions, or nullptr.
      */
-    BlockState(GlobalMemory &mem, MemTiming &timing, NvmCache *nvm,
-               Dim3 block_idx, const LaunchConfig &cfg, Cycles start,
-               size_t shared_bytes, RankGate *gate = nullptr,
-               uint64_t rank = 0, const OrderedRegions *ordered = nullptr);
-
-    BlockState(const BlockState &) = delete;
-    BlockState &operator=(const BlockState &) = delete;
+    void reset(NvmCache *nvm, Dim3 block_idx, const LaunchConfig &cfg,
+               Cycles start, RankGate *gate = nullptr, uint64_t rank = 0,
+               const OrderedRegions *ordered = nullptr);
 
     /** Number of threads in the block. */
     uint32_t numThreads() const { return num_threads_; }
@@ -398,10 +433,13 @@ class BlockState
     }
 
     /**
-     * Resolve or allocate the shared-memory slot @p slot_id of
-     * @p bytes bytes, returning its offset in the block's shared arena.
-     * All threads naming the same slot get the same storage, mirroring
-     * a __shared__ array declaration.
+     * Resolve or claim the shared-memory slot @p slot_id of @p bytes
+     * bytes, returning its offset in the block's shared arena. All
+     * threads naming the same slot get the same storage, mirroring a
+     * __shared__ array declaration. The first claim in a block zeroes
+     * the slot's bytes, so every block reads zeroed shared memory
+     * whatever the previous block on the arena left there. A later
+     * declaration may ask for at most the first one's bytes.
      */
     size_t sharedSlot(uint32_t slot_id, size_t bytes);
 
@@ -507,19 +545,19 @@ class BlockState
 
     GlobalMemory &mem_;
     MemTiming &timing_;
-    NvmCache *nvm_;
+    NvmCache *nvm_ = nullptr;
     Dim3 block_idx_;
     LaunchConfig cfg_;
-    Cycles start_;
+    Cycles start_ = 0;
 
-    RankGate *gate_;
-    uint64_t rank_;
-    const OrderedRegions *ordered_;
+    RankGate *gate_ = nullptr;
+    uint64_t rank_ = 0;
+    const OrderedRegions *ordered_ = nullptr;
     bool gate_leader_ = false;
 
-    uint32_t num_threads_;
-    uint32_t num_warps_;
-    uint32_t live_;
+    uint32_t num_threads_ = 0;
+    uint32_t num_warps_ = 0;
+    uint32_t live_ = 0;
 
     // Block-wide barrier (generation scheme).
     uint32_t bar_arrived_ = 0;
@@ -529,9 +567,16 @@ class BlockState
 
     std::vector<WarpState> warps_;
 
-    std::vector<char> shared_;
+    /** One claimed __shared__ declaration of the running block. */
+    struct SharedSlot {
+        uint32_t id;
+        size_t offset;
+        size_t bytes;
+    };
+
+    ZeroedBuffer shared_;
     size_t shared_next_ = 0;
-    std::unordered_map<uint32_t, size_t> shared_slots_;
+    std::vector<SharedSlot> shared_slots_; //!< a block claims only a few
 
     // Scheduler state: threads are in exactly one place — running,
     // ready, on a wait list (bar_waiters_ / warp.waiters /

@@ -2,12 +2,14 @@
  * @file
  * Additional simulator-API coverage: 64-bit atomics, float atomics,
  * atomicMax, signed/64-bit shuffles, stall charging, deadlock
- * detection, shared-memory exhaustion, the fused dual-checksum
- * reduction extension, and warp reductions as single collectives.
+ * detection, shared-memory exhaustion, re-declaration and zeroing, the
+ * fused dual-checksum reduction extension, and warp reductions as
+ * single collectives.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <utility>
 #include <vector>
@@ -149,6 +151,68 @@ TEST(ExecExtraDeathTest, SharedMemoryExhaustionPanics)
             });
         },
         "shared memory exhausted");
+}
+
+TEST(ExecExtraDeathTest, LargerSharedRedeclarationPanics)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_DEATH(
+        {
+            Device dev;
+            dev.launch(LaunchConfig(Dim3(1), Dim3(1)), [&](ThreadCtx &t) {
+                t.sharedArray<uint32_t>(0, 8);
+                t.sharedArray<uint32_t>(1, 8);
+                // Sixteen words from slot 0's offset would cover slot 1.
+                t.sharedArray<uint32_t>(0, 16).set(15, 1);
+            });
+        },
+        "shared slot 0 re-declared with 64 bytes");
+}
+
+TEST(ExecExtraTest, EveryBlockReadsZeroedSharedMemory)
+{
+    // Odd ranks claim the slots in the other order and at other sizes,
+    // so each slot lands on bytes the previous block on the same
+    // worker (and its shared arena) dirtied. Every thread checks the
+    // elements it owns read zero before writing rank-dependent values.
+    for (uint32_t workers : {1u, 4u}) {
+        DeviceParams params;
+        params.num_workers = workers;
+        Device dev(params);
+        std::atomic<uint64_t> checked{0}, dirty{0}, lost{0};
+        const uint32_t threads = 64;
+        dev.launch(LaunchConfig(Dim3(32), Dim3(threads)), [&](ThreadCtx &t) {
+            const uint32_t rank = static_cast<uint32_t>(t.blockRank());
+            const bool odd = rank % 2 == 1;
+            SharedRef<uint32_t> first =
+                odd ? t.sharedArray<uint32_t>(1, 96 + rank % 5)
+                    : t.sharedArray<uint32_t>(0, 64);
+            SharedRef<uint32_t> second =
+                odd ? t.sharedArray<uint32_t>(0, 48)
+                    : t.sharedArray<uint32_t>(1, 40 + rank % 3);
+            for (SharedRef<uint32_t> *slot : {&first, &second}) {
+                for (size_t i = t.flatThreadIdx(); i < slot->size();
+                     i += threads) {
+                    ++checked;
+                    if (slot->get(i) != 0)
+                        ++dirty;
+                    slot->set(i, rank * 1000 + static_cast<uint32_t>(i) + 1);
+                }
+            }
+            // A smaller re-declaration names the same storage.
+            t.syncthreads();
+            if (t.sharedArray<uint32_t>(0, 1).get(0) != rank * 1000 + 1)
+                ++lost;
+        });
+        // Per block: 96..100 + 48 words on odd ranks, 64 + 40..42 on
+        // even ones.
+        uint64_t expect = 0;
+        for (uint32_t rank = 0; rank < 32; ++rank)
+            expect += rank % 2 == 1 ? 96 + rank % 5 + 48 : 64 + 40 + rank % 3;
+        EXPECT_EQ(checked.load(), expect) << workers << " workers";
+        EXPECT_EQ(dirty.load(), 0u) << workers << " workers";
+        EXPECT_EQ(lost.load(), 0u) << workers << " workers";
+    }
 }
 
 TEST(ExecExtraTest, FusedReductionMatchesTwoShuffleReduction)

@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit tests for the fiber substrate: switching, yielding, interleaved
- * scheduling, stack pooling and deep-call correctness.
+ * scheduling, re-arming in place and deep-call correctness.
  */
 
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -151,60 +152,66 @@ TEST(FiberTest, ManyFibersSequential)
     EXPECT_EQ(sum, 2000L * 1999 / 2);
 }
 
-TEST(StackPoolTest, ReusesStacks)
+TEST(FiberTest, RearmRunsEveryEntryOnTheSameStack)
 {
-    StackPool pool(64 * 1024);
-    {
-        Fiber a([] {}, &pool);
-        a.resume();
+    // The entry's frame address (the real stack, not an ASan fake
+    // frame) must be identical on every run: re-arming reuses the
+    // stack in place instead of mapping a new one.
+    int runs = 0;
+    const void *first_frame = nullptr;
+    int moved = 0;
+    Fiber fiber([&] {
+        const void *frame = __builtin_frame_address(0);
+        if (runs++ == 0)
+            first_frame = frame;
+        else if (frame != first_frame)
+            ++moved;
+    });
+    for (int i = 0; i < 1000; ++i) {
+        fiber.rearm(); // the first call re-arms a never-started fiber
+        EXPECT_FALSE(fiber.started());
+        fiber.resume();
+        ASSERT_TRUE(fiber.finished()) << "run " << i;
     }
-    EXPECT_EQ(pool.allocatedCount(), 1u);
-    EXPECT_EQ(pool.freeCount(), 1u);
-    {
-        Fiber b([] {}, &pool);
-        b.resume();
-    }
-    // The second fiber must have reused the first stack.
-    EXPECT_EQ(pool.allocatedCount(), 1u);
-    EXPECT_EQ(pool.freeCount(), 1u);
+    EXPECT_EQ(runs, 1000);
+    EXPECT_EQ(moved, 0) << "runs that started on a different frame";
 }
 
-TEST(StackPoolTest, GrowsToConcurrentPeak)
+TEST(FiberDeathTest, RearmingASuspendedFiberPanics)
 {
-    StackPool pool(64 * 1024);
-    {
-        std::vector<std::unique_ptr<Fiber>> fibers;
-        for (int i = 0; i < 8; ++i)
-            fibers.push_back(std::make_unique<Fiber>([] {}, &pool));
-        for (auto &f : fibers)
-            f->resume();
-    }
-    EXPECT_EQ(pool.allocatedCount(), 8u);
-    EXPECT_EQ(pool.freeCount(), 8u);
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_DEATH(
+        {
+            Fiber fiber([] { Fiber::yield(); });
+            fiber.resume();
+            fiber.rearm();
+        },
+        "re-arming a suspended fiber");
 }
 
-TEST(StackPoolTest, PooledFibersInterleave)
+TEST(FiberTest, RearmedFibersInterleave)
 {
-    StackPool pool(64 * 1024);
-    int counter = 0;
+    // Three fibers each log their id, yield, then log it upper-case;
+    // round-robin resumes must interleave every run the same way.
+    std::string trace;
     std::vector<std::unique_ptr<Fiber>> fibers;
-    for (int i = 0; i < 32; ++i) {
-        fibers.push_back(std::make_unique<Fiber>(
-            [&counter] {
-                ++counter;
-                Fiber::yield();
-                ++counter;
-            },
-            &pool));
+    for (int id = 0; id < 3; ++id) {
+        fibers.push_back(std::make_unique<Fiber>([&trace, id] {
+            trace += static_cast<char>('a' + id);
+            Fiber::yield();
+            trace += static_cast<char>('A' + id);
+        }));
     }
-    for (auto &f : fibers)
-        f->resume();
-    EXPECT_EQ(counter, 32);
-    for (auto &f : fibers)
-        f->resume();
-    EXPECT_EQ(counter, 64);
-    for (auto &f : fibers)
-        EXPECT_TRUE(f->finished());
+    for (int run = 0; run < 3; ++run) {
+        for (auto &f : fibers)
+            f->rearm();
+        for (int pass = 0; pass < 2; ++pass)
+            for (auto &f : fibers)
+                f->resume();
+        for (auto &f : fibers)
+            EXPECT_TRUE(f->finished());
+    }
+    EXPECT_EQ(trace, "abcABCabcABCabcABC");
 }
 
 } // namespace

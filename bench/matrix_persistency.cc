@@ -14,11 +14,13 @@
  *   epoch-block  clwb per store, one barrier per thread block
  *   epoch-kernel clwb per store, commit flag only (kernel epoch)
  *
- * Rows are the eight Fig. 5 kernels, a MEGA-KV insert batch, and the
- * three synthetic store-density scenarios of sec2_ep_vs_lp; columns
- * report execution overhead versus the unprotected baseline, NVM
- * write amplification, and the model's metadata footprint. The shape
- * the paper predicts — and CI gates on via --json — is
+ * Rows are the eight Fig. 5 kernels, a MEGA-KV insert batch, and
+ * three synthetic store-density scenarios (compute-heavy, balanced,
+ * store-heavy: the paper's Sec. I/II eager-versus-lazy framing, read
+ * off the lazy and eager columns); columns report execution overhead
+ * versus the unprotected baseline, NVM write amplification, and the
+ * model's metadata footprint. The shape the paper predicts — and CI
+ * gates on via --json — is
  *
  *   lazy  <  epoch-*  <  min(strict, eager)   (store-heavy scenario)
  *
@@ -97,24 +99,25 @@ runWorkload(const std::string &name, double scale,
     auto w = makeWorkload(name, scale);
     w->setup(dev);
 
-    std::unique_ptr<PersistRuntime> pr;
+    std::unique_ptr<PersistStrategy> strategy;
     if (model != nullptr) {
         LpConfig cfg = LpConfig::scalable();
         cfg.persist = *model;
-        pr = makePersistRuntime(dev, cfg, *w);
+        strategy = makePersistStrategy(dev, cfg, w->launchConfig(),
+                                       w->persistentStoresPerThread());
     }
 
     nvm.persistAll();
     nvm.resetStats();
-    LaunchResult r = pr != nullptr
-                         ? runWithPersist(dev, *w, *pr)
+    LaunchResult r = strategy != nullptr
+                         ? runWithLp(dev, *w, *strategy)
                          : runBaseline(dev, *w);
     nvm.persistAll(); // run-to-completion write accounting
     std::string why;
     GPULP_ASSERT(w->verify(&why), "'%s' wrong under %s: %s", name.c_str(),
                  model ? toString(*model) : "baseline", why.c_str());
     return RunOut{r.cycles, nvm.stats().nvmLineWrites(),
-                  pr ? pr->footprintBytes() : 0};
+                  strategy ? strategy->footprintBytes() : 0};
 }
 
 /** One MEGA-KV insert batch under one model (nullptr = baseline). */
@@ -137,15 +140,15 @@ runMegaKvInsert(double scale, const PersistModel *model)
     kv.stageInserts(ops);
 
     const LaunchConfig launch = kv.launchConfig();
-    std::unique_ptr<PersistRuntime> pr;
+    std::unique_ptr<PersistStrategy> strategy;
     LpContext ctx;
     const LpContext *lp = nullptr;
     if (model != nullptr) {
         LpConfig cfg = LpConfig::scalable();
         cfg.persist = *model;
-        pr = std::make_unique<PersistRuntime>(
-            dev, cfg, launch, MegaKv::kMaxPersistStoresPerThread);
-        ctx = pr->context();
+        strategy = makePersistStrategy(dev, cfg, launch,
+                                       MegaKv::kMaxPersistStoresPerThread);
+        ctx = strategy->context();
         lp = &ctx;
     }
 
@@ -155,10 +158,12 @@ runMegaKvInsert(double scale, const PersistModel *model)
         dev.launch(launch, [&](ThreadCtx &t) { kv.insertKernel(t, lp); });
     nvm.persistAll();
     return RunOut{r.cycles, nvm.stats().nvmLineWrites(),
-                  pr ? pr->footprintBytes() : 0};
+                  strategy ? strategy->footprintBytes() : 0};
 }
 
-/** A synthetic store-density scenario (the sec2_ep_vs_lp trio). */
+/** A synthetic store-density scenario: stores per thread and the
+ *  compute between them set how much a per-store flush, fence or log
+ *  entry costs relative to the work. */
 struct Scenario {
     const char *name;
     LaunchConfig cfg;
@@ -178,14 +183,14 @@ runScenario(const Scenario &s, const PersistModel *model)
         s.cfg.numBlocks() * s.cfg.threadsPerBlock() * per_thread;
     auto out = ArrayRef<uint32_t>::allocate(dev.mem(), n);
 
-    std::unique_ptr<PersistRuntime> pr;
+    std::unique_ptr<PersistStrategy> strategy;
     LpContext ctx;
     const LpContext *lp = nullptr;
     if (model != nullptr) {
         LpConfig cfg = LpConfig::scalable();
         cfg.persist = *model;
-        pr = std::make_unique<PersistRuntime>(dev, cfg, s.cfg, per_thread);
-        ctx = pr->context();
+        strategy = makePersistStrategy(dev, cfg, s.cfg, per_thread);
+        ctx = strategy->context();
         lp = &ctx;
     }
 
@@ -203,7 +208,7 @@ runScenario(const Scenario &s, const PersistModel *model)
     });
     nvm.persistAll();
     return RunOut{r.cycles, nvm.stats().nvmLineWrites(),
-                  pr ? pr->footprintBytes() : 0};
+                  strategy ? strategy->footprintBytes() : 0};
 }
 
 Row

@@ -99,8 +99,9 @@ runTrial(uint32_t launches, uint32_t checkpoint_every)
 
     // Only the final (crashed) launch's regions need validation: the
     // checkpoint made everything older durable.
-    RecoveryReport report = lpValidateAndRecover(
-        dev, cfg, ctx,
+    RecoveryReport report = persistRecover(
+        dev, cfg, lp,
+        step_kernel,
         [&](ThreadCtx &t, RecoverySet &failed) {
             ChecksumAccum acc = ctx.makeAccum();
             acc.protectFloat(t, t.load(out, t.globalThreadIdx()));
@@ -108,10 +109,6 @@ runTrial(uint32_t launches, uint32_t checkpoint_every)
             bool ok = lpValidateRegion(t, ctx, acc);
             if (t.flatThreadIdx() == 0 && !ok)
                 failed.markFailed(t, t.blockRank());
-        },
-        [&](ThreadCtx &t, const RecoverySet &failed) {
-            if (failed.isFailedHost(t.blockRank()))
-                step_kernel(t);
         });
 
     // The recomputed final state must be exact... but only if the

@@ -63,14 +63,11 @@ main()
     std::printf("after crash, %u / %u keys survived in NVM\n", survivors,
                 batch);
 
-    RecoveryReport report = lpValidateAndRecover(
-        dev, kv.launchConfig(), ctx,
+    RecoveryReport report = persistRecover(
+        dev, kv.launchConfig(), lp,
+        [&](ThreadCtx &t) { kv.insertKernel(t, &ctx); }, // re-insert
         [&](ThreadCtx &t, RecoverySet &failed) {
             kv.validateInserts(t, ctx, failed);
-        },
-        [&](ThreadCtx &t, const RecoverySet &failed) {
-            if (failed.isFailedHost(t.blockRank()))
-                kv.insertKernel(t, &ctx); // idempotent re-insert
         });
     std::printf("recovery re-executed %llu / %llu blocks\n",
                 static_cast<unsigned long long>(report.blocks_recovered),

@@ -110,14 +110,11 @@ main()
                     tmm.launchConfig().numBlocks()));
     nvm.crash();
 
-    RecoveryReport report = lpValidateAndRecover(
-        dev, tmm.launchConfig(), ctx,
+    RecoveryReport report = persistRecover(
+        dev, tmm.launchConfig(), lp,
+        [&](ThreadCtx &t) { tmm.kernel(t, &ctx); },
         [&](ThreadCtx &t, RecoverySet &failed) {
             tmm.validation(t, ctx, failed);
-        },
-        [&](ThreadCtx &t, const RecoverySet &failed) {
-            if (failed.isFailedHost(t.blockRank()))
-                tmm.kernel(t, &ctx);
         });
     std::printf("recovery re-executed %llu blocks "
                 "(validate %llu cyc, recover %llu cyc)\n",

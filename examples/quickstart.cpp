@@ -66,8 +66,9 @@ main()
 
     // Validate every block's checksum against the data that actually
     // persisted; re-execute the blocks that fail.
-    RecoveryReport report = lpValidateAndRecover(
-        dev, cfg, ctx,
+    RecoveryReport report = persistRecover(
+        dev, cfg, lp,
+        kernel, // idempotent region: just run it again
         [&](ThreadCtx &t, RecoverySet &failed) {
             ChecksumAccum acc = ctx.makeAccum();
             acc.protectFloat(t, t.load(out, t.globalThreadIdx()));
@@ -75,10 +76,6 @@ main()
             bool ok = lpValidateRegion(t, ctx, acc);
             if (t.flatThreadIdx() == 0 && !ok)
                 failed.markFailed(t, t.blockRank());
-        },
-        [&](ThreadCtx &t, const RecoverySet &failed) {
-            if (failed.isFailedHost(t.blockRank()))
-                kernel(t); // idempotent region: just run it again
         });
     std::printf("recovery: %llu of %llu blocks failed validation and "
                 "were re-executed\n",

@@ -407,7 +407,7 @@ runExplorerCell(const ExplorerOptions &opts, const std::string &name,
                 dev.launch(launch,
                            [&](ThreadCtx &t) { w->kernel(t, &ctx); });
                 nvm.crash();
-                BlockClassification cls = classifyAgainstGolden(
+                BlockClassification cls = classifyCrash(
                     dev, launch, *w, ctx, block_spans, golden_blocks);
                 ++cell.crash_trials;
                 if (cls.false_passes != 0) {
@@ -417,14 +417,11 @@ runExplorerCell(const ExplorerOptions &opts, const std::string &name,
                         std::to_string(cls.false_passes) +
                         " false-pass block(s) — silent corruption");
                 }
-                RecoveryReport rep = lpValidateAndRecover(
-                    dev, launch, ctx,
+                RecoveryReport rep = persistRecover(
+                    dev, launch, lp,
+                    [&](ThreadCtx &t) { w->kernel(t, &ctx); },
                     [&](ThreadCtx &t, RecoverySet &failed) {
                         w->validation(t, ctx, failed);
-                    },
-                    [&](ThreadCtx &t, const RecoverySet &failed) {
-                        if (failed.isFailedHost(t.blockRank()))
-                            w->kernel(t, &ctx);
                     });
                 if (!rep.converged) {
                     ++cell.unconverged;

@@ -6,15 +6,27 @@
 
 namespace gpulp {
 
-EpRuntime::EpRuntime(Device &dev, const LaunchConfig &launch,
-                     uint64_t log_entries_per_thread)
-    : dev_(dev), launch_(launch),
-      entries_per_thread_(log_entries_per_thread)
+namespace {
+
+/** Undo-log bytes for @p launch at @p entries_per_thread. */
+uint64_t
+logBytes(const LaunchConfig &launch, uint64_t entries_per_thread)
 {
-    GPULP_ASSERT(entries_per_thread_ > 0, "EP needs log space");
-    uint64_t blocks = launch.numBlocks();
-    logs_ = dev_.mem().alloc(blocks * entriesPerBlock() * kLogEntryBytes);
-    commit_flags_ = dev_.mem().alloc(blocks * 4);
+    GPULP_ASSERT(entries_per_thread > 0, "EP needs log space");
+    return launch.numBlocks() * launch.threadsPerBlock() *
+           entries_per_thread * EpRuntime::kLogEntryBytes;
+}
+
+} // namespace
+
+EpRuntime::EpRuntime(Device &dev, const LpConfig &cfg,
+                     const LaunchConfig &launch,
+                     uint64_t log_entries_per_thread)
+    : PersistStrategy(cfg, PersistModel::Eager), dev_(dev), launch_(launch),
+      entries_per_thread_(log_entries_per_thread),
+      logs_(dev_.mem().alloc(logBytes(launch, log_entries_per_thread))),
+      flags_(dev_, launch.numBlocks())
+{
     reset();
 }
 
@@ -43,20 +55,8 @@ EpRuntime::entryCrc(uint64_t tagged, uint32_t old_bits)
 }
 
 void
-EpRuntime::durableRead(Addr addr, size_t bytes, void *out) const
-{
-    // The arena may hold stores that landed after the crash latch
-    // tripped and never reached the persistence domain; recovery must
-    // only trust what the NVM actually holds.
-    if (NvmCache *nvm = dev_.nvm())
-        nvm->readPersisted(addr, bytes, out);
-    else
-        std::memcpy(out, dev_.mem().raw(addr), bytes);
-}
-
-void
-EpRuntime::logOldValue(ThreadCtx &t, ThreadLog &log, Addr addr,
-                       uint32_t bytes)
+EpRuntime::prepare(ThreadCtx &t, PersistAccum &acc, Addr addr,
+                   uint32_t bytes)
 {
     uint64_t block = t.blockRank();
 
@@ -64,12 +64,12 @@ EpRuntime::logOldValue(ThreadCtx &t, ThreadLog &log, Addr addr,
     //    log partition (no atomics: logs are per-thread).
     uint32_t old_bits = bytes == 2 ? t.loadAddr<uint16_t>(addr)
                                    : t.loadAddr<uint32_t>(addr);
-    GPULP_ASSERT(log.used < entries_per_thread_,
+    GPULP_ASSERT(acc.undo_entries < entries_per_thread_,
                  "EP undo log overflow: thread needs more than %llu "
                  "entries",
                  static_cast<unsigned long long>(entries_per_thread_));
-    uint64_t slot =
-        uint64_t{t.flatThreadIdx()} * entries_per_thread_ + log.used++;
+    uint64_t slot = uint64_t{t.flatThreadIdx()} * entries_per_thread_ +
+                    acc.undo_entries++;
 
     // 2. The undo entry must be durable before the data mutation (the
     //    undo-logging invariant): write, flush, fence. The CRC makes
@@ -86,41 +86,16 @@ EpRuntime::logOldValue(ThreadCtx &t, ThreadLog &log, Addr addr,
 }
 
 void
-EpRuntime::protectedStore32(ThreadCtx &t, ThreadLog &log, Addr addr,
-                            uint32_t bits)
-{
-    logOldValue(t, log, addr, 4);
-    // The data store, eagerly pushed toward the NVM.
-    t.storeAddr<uint32_t>(addr, bits);
-    t.clwb(addr);
-}
-
-void
-EpRuntime::protectedStore16(ThreadCtx &t, ThreadLog &log, Addr addr,
-                            uint16_t bits)
-{
-    logOldValue(t, log, addr, 2);
-    t.storeAddr<uint16_t>(addr, bits);
-    t.clwb(addr);
-}
-
-void
-EpRuntime::commitRegion(ThreadCtx &t)
+EpRuntime::regionEnd(ThreadCtx &t, PersistAccum &)
 {
     // All data flushes of this thread must be durable before the
     // region's commit flag may persist.
     t.persistBarrier();
-    t.syncthreads();
-    if (t.flatThreadIdx() == 0) {
-        Addr flag = commitFlagAddr(t.blockRank());
-        t.storeAddr<uint32_t>(flag, 1);
-        t.clwb(flag);
-        t.persistBarrier();
-    }
+    flags_.commit(t, /*fence=*/true);
 }
 
 uint64_t
-EpRuntime::recoverUndo()
+EpRuntime::rollback()
 {
     GlobalMemory &mem = dev_.mem();
     NvmCache *nvm = dev_.nvm();
@@ -143,7 +118,7 @@ EpRuntime::recoverUndo()
         for (uint64_t slot = entriesPerBlock(); slot > 0; --slot) {
             Addr entry = logEntryAddr(block, slot - 1);
             uint8_t raw[kLogEntryBytes];
-            durableRead(entry, kLogEntryBytes, raw);
+            durableRead(dev_, entry, kLogEntryBytes, raw);
             uint64_t tagged;
             uint32_t old_bits, crc;
             std::memcpy(&tagged, raw, 8);
@@ -172,37 +147,21 @@ EpRuntime::recoverUndo()
     return rolled_back;
 }
 
-bool
-EpRuntime::isCommittedHost(uint64_t block) const
-{
-    uint32_t committed;
-    durableRead(commitFlagAddr(block), 4, &committed);
-    return committed != 0;
-}
-
 void
 EpRuntime::reset()
 {
-    GlobalMemory &mem = dev_.mem();
-    uint64_t blocks = launch_.numBlocks();
-    const uint64_t log_bytes = blocks * entriesPerBlock() * kLogEntryBytes;
-    std::memset(mem.raw(logs_), 0, log_bytes);
-    std::memset(mem.raw(commit_flags_), 0, blocks * 4);
-    // The cleared state must be as durable as the state it replaces: a
-    // committed flag from the previous run lingering in the NVM shadow
-    // would be resurrected by the next crash rewind and mask an
-    // uncommitted region.
-    if (NvmCache *nvm = dev_.nvm()) {
+    const uint64_t log_bytes = logBytes(launch_, entries_per_thread_);
+    std::memset(dev_.mem().raw(logs_), 0, log_bytes);
+    // The cleared state must be as durable as the state it replaces.
+    if (NvmCache *nvm = dev_.nvm())
         nvm->persistRange(logs_, log_bytes);
-        nvm->persistRange(commit_flags_, blocks * 4);
-    }
+    flags_.reset();
 }
 
 uint64_t
 EpRuntime::footprintBytes() const
 {
-    uint64_t blocks = launch_.numBlocks();
-    return blocks * (entriesPerBlock() * kLogEntryBytes + 4);
+    return logBytes(launch_, entries_per_thread_) + flags_.footprintBytes();
 }
 
 } // namespace gpulp

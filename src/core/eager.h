@@ -39,8 +39,7 @@
 
 #include <cstdint>
 
-#include "common/floatbits.h"
-#include "sim/device.h"
+#include "core/persist.h"
 
 namespace gpulp {
 
@@ -53,7 +52,7 @@ namespace gpulp {
  * EP-protect the *same* address, or undo order across threads would be
  * undefined. All kernels here write thread-disjoint addresses.
  */
-class EpRuntime
+class EpRuntime : public PersistStrategy
 {
   public:
     /** Bytes per undo-log entry: {size|addr: 8, old bits: 4, crc: 4}. */
@@ -63,17 +62,13 @@ class EpRuntime
      *  written) slot can never validate. */
     static constexpr uint32_t kEntryCrcSeed = 0x9e3779b9u;
 
-    /** Per-thread log cursor, register-resident in the kernel. */
-    struct ThreadLog {
-        uint32_t used = 0;
-    };
-
     /**
      * @param dev Device the protected kernel runs on.
+     * @param cfg Configuration kernels see through context().
      * @param launch Grid/block shape of the protected kernel.
      * @param log_entries_per_thread Undo-log capacity per thread.
      */
-    EpRuntime(Device &dev, const LaunchConfig &launch,
+    EpRuntime(Device &dev, const LpConfig &cfg, const LaunchConfig &launch,
               uint64_t log_entries_per_thread);
 
     // Device-side protocol ---------------------------------------------------
@@ -81,41 +76,31 @@ class EpRuntime
     /**
      * Durably log the current value of [addr, addr+bytes): write the
      * undo entry, flush it and fence — the undo-logging invariant that
-     * must complete before the data mutation. Split out from
-     * protectedStore32() so atomic claims (e.g. MEGA-KV's slot CAS)
-     * can be covered too: log first, then perform the atomic.
-     * @p bytes must be 2 or 4.
+     * must complete before the data mutation, atomic claims (MEGA-KV's
+     * slot CAS) included. @p bytes must be 2 or 4.
      */
-    void logOldValue(ThreadCtx &t, ThreadLog &log, Addr addr,
-                     uint32_t bytes);
+    void prepare(ThreadCtx &t, PersistAccum &acc, Addr addr,
+                 uint32_t bytes) override;
 
-    /**
-     * EP-protected 32-bit store: logs the old value (flushed + fenced
-     * before the data store, the undo invariant), performs the store
-     * and flushes its line.
-     */
-    void protectedStore32(ThreadCtx &t, ThreadLog &log, Addr addr,
-                          uint32_t bits);
-
-    /** EP-protected 16-bit store (SAD's uint16 output). */
-    void protectedStore16(ThreadCtx &t, ThreadLog &log, Addr addr,
-                          uint16_t bits);
-
-    /** EP-protected float store (via the 32-bit path). */
-    void
-    protectedStoreF(ThreadCtx &t, ThreadLog &log, Addr addr, float value)
-    {
-        protectedStore32(t, log, addr, floatToOrderedInt(value));
-    }
+    /** Push the mutated line eagerly toward the NVM. */
+    void publish(ThreadCtx &t, Addr addr) override { t.clwb(addr); }
 
     /**
      * End-of-region commit: drain this thread's flushes, barrier the
      * block, and have thread 0 persist the region's commit flag.
      * Collective.
      */
-    void commitRegion(ThreadCtx &t);
+    void regionEnd(ThreadCtx &t, PersistAccum &acc) override;
 
     // Host-side recovery -----------------------------------------------------
+
+    /** Mark every block whose commit flag is not durable. */
+    LaunchResult
+    verdict(Device &, const LaunchConfig &, RecoverySet &failed,
+            const ValidateFn &) override
+    {
+        return flags_.markUncommitted(failed);
+    }
 
     /**
      * Undo every uncommitted region from its persisted log, newest
@@ -127,10 +112,14 @@ class EpRuntime
      *
      * @return Number of regions rolled back.
      */
-    uint64_t recoverUndo();
+    uint64_t rollback() override;
 
     /** True if @p block committed *durably* (NVM view, not the arena). */
-    bool isCommittedHost(uint64_t block) const;
+    bool
+    isCommittedHost(uint64_t block) const
+    {
+        return flags_.isCommittedHost(block);
+    }
 
     /**
      * Clear logs, cursors and commit flags for a fresh run, and persist
@@ -138,22 +127,15 @@ class EpRuntime
      * run would otherwise be resurrected by the next crash rewind and
      * mask an uncommitted region.
      */
-    void reset();
+    void reset() override;
 
     /** Device-memory footprint of logs + metadata. */
-    uint64_t footprintBytes() const;
+    uint64_t footprintBytes() const override;
 
     // Introspection (tests, fault injection) ---------------------------------
 
     /** Device address of @p slot-th undo entry of @p block. */
     Addr logEntryAddr(uint64_t block, uint64_t slot) const;
-
-    /** Device address of @p block's commit flag. */
-    Addr
-    commitFlagAddr(uint64_t block) const
-    {
-        return commit_flags_ + block * 4;
-    }
 
     /** Entries per block across all its threads. */
     uint64_t
@@ -171,15 +153,13 @@ class EpRuntime
     static uint32_t entryCrc(uint64_t tagged, uint32_t old_bits);
 
   private:
-    /** Read [addr, addr+bytes) from the durable image when an NVM
-     *  model is attached, else from the arena. */
-    void durableRead(Addr addr, size_t bytes, void *out) const;
-
     Device &dev_;
     LaunchConfig launch_;
     uint64_t entries_per_thread_;
+    // Allocated in this order, logs first: addresses feed the NVM
+    // cache's set mapping, so the order is part of the results.
     Addr logs_;         //!< blocks x threads x entries x kLogEntryBytes
-    Addr commit_flags_; //!< blocks x uint32
+    CommitFlags flags_;
 };
 
 } // namespace gpulp

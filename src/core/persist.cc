@@ -2,57 +2,120 @@
 
 #include <cstring>
 
-#include "obs/counters.h"
-#include "obs/trace.h"
+#include "core/eager.h"
+#include "core/runtime.h"
 
 namespace gpulp {
+
+PersistStrategy::PersistStrategy(const LpConfig &cfg, PersistModel model)
+    : cfg_(cfg)
+{
+    cfg_.persist = model;
+}
+
+LpContext
+PersistStrategy::context()
+{
+    LpContext ctx;
+    ctx.cfg = &cfg_;
+    ctx.strategy = this;
+    return ctx;
+}
+
+void
+durableRead(Device &dev, Addr addr, size_t bytes, void *out)
+{
+    // The arena may hold stores that landed after the crash latch
+    // tripped and never reached the persistence domain; recovery must
+    // only trust what the NVM actually holds.
+    if (NvmCache *nvm = dev.nvm())
+        nvm->readPersisted(addr, bytes, out);
+    else
+        std::memcpy(out, dev.mem().raw(addr), bytes);
+}
+
+CommitFlags::CommitFlags(Device &dev, uint64_t blocks)
+    : dev_(dev), blocks_(blocks)
+{
+    flags_ = dev_.mem().alloc(blocks_ * 4);
+    reset();
+}
+
+void
+CommitFlags::commit(ThreadCtx &t, bool fence) const
+{
+    t.syncthreads();
+    if (t.flatThreadIdx() != 0)
+        return;
+    Addr flag = flagAddr(t.blockRank());
+    t.storeAddr<uint32_t>(flag, 1);
+    t.clwb(flag);
+    if (fence)
+        t.persistBarrier();
+}
+
+bool
+CommitFlags::isCommittedHost(uint64_t block) const
+{
+    GPULP_ASSERT(block < blocks_, "block out of range");
+    uint32_t committed;
+    durableRead(dev_, flagAddr(block), 4, &committed);
+    return committed != 0;
+}
+
+LaunchResult
+CommitFlags::markUncommitted(RecoverySet &failed) const
+{
+    for (uint64_t b = 0; b < blocks_; ++b) {
+        if (!isCommittedHost(b))
+            failed.markFailedHost(b);
+    }
+    return {};
+}
+
+void
+CommitFlags::reset()
+{
+    // A committed flag from the previous run lingering in the NVM
+    // shadow would be resurrected by the next crash rewind and mask an
+    // uncommitted region.
+    std::memset(dev_.mem().raw(flags_), 0, blocks_ * 4);
+    if (NvmCache *nvm = dev_.nvm())
+        nvm->persistRange(flags_, blocks_ * 4);
+}
+
 namespace {
 
 /**
- * Durable per-block commit flags shared by the flush-based models
- * (strict/epoch). Host reads go through the NVM view and resets are
- * persisted — the same discipline the EP bugfixes established; see the
- * EpRuntime recovery docs for why the volatile arena must not be
- * trusted.
+ * The flush-based models without a log: a durable commit flag per
+ * block is their whole recovery state and verdict.
  */
-class CommitFlags
+class FlagStrategy : public PersistStrategy
 {
   public:
-    CommitFlags(Device &dev, const LaunchConfig &launch)
-        : dev_(dev), blocks_(launch.numBlocks())
+    FlagStrategy(Device &dev, const LpConfig &cfg, PersistModel model,
+                 const LaunchConfig &launch)
+        : PersistStrategy(cfg, model), flags_(dev, launch.numBlocks())
     {
-        flags_ = dev_.mem().alloc(blocks_ * 4);
-        reset();
     }
 
-    Addr flagAddr(uint64_t block) const { return flags_ + block * 4; }
-
-    bool
-    isCommittedHost(uint64_t block) const
+    LaunchResult
+    verdict(Device &, const LaunchConfig &, RecoverySet &failed,
+            const ValidateFn &) override
     {
-        GPULP_ASSERT(block < blocks_, "block out of range");
-        uint32_t committed;
-        if (NvmCache *nvm = dev_.nvm())
-            nvm->readPersisted(flagAddr(block), 4, &committed);
-        else
-            std::memcpy(&committed, dev_.mem().raw(flagAddr(block)), 4);
-        return committed != 0;
+        return flags_.markUncommitted(failed);
     }
 
-    void
-    reset()
+    void reset() override { flags_.reset(); }
+
+    uint64_t
+    footprintBytes() const override
     {
-        std::memset(dev_.mem().raw(flags_), 0, blocks_ * 4);
-        if (NvmCache *nvm = dev_.nvm())
-            nvm->persistRange(flags_, blocks_ * 4);
+        return flags_.footprintBytes();
     }
 
-    uint64_t footprintBytes() const { return blocks_ * 4; }
-
-  private:
-    Device &dev_;
-    uint64_t blocks_;
-    Addr flags_;
+  protected:
+    CommitFlags flags_;
 };
 
 /**
@@ -60,18 +123,12 @@ class CommitFlags
  * *and* persist barrier — before the thread proceeds. Strongest
  * ordering, zero metadata beyond the commit flag, worst stalls.
  */
-class StrictStrategy : public PersistStrategy
+class StrictStrategy : public FlagStrategy
 {
   public:
-    StrictStrategy(Device &dev, const LaunchConfig &launch)
-        : flags_(dev, launch)
-    {
-    }
-
-    PersistModel model() const override { return PersistModel::Strict; }
-
-    void
-    prepare(ThreadCtx &, PersistAccum &, Addr, uint32_t) override
+    StrictStrategy(Device &dev, const LpConfig &cfg,
+                   const LaunchConfig &launch)
+        : FlagStrategy(dev, cfg, PersistModel::Strict, launch)
     {
     }
 
@@ -86,31 +143,8 @@ class StrictStrategy : public PersistStrategy
     regionEnd(ThreadCtx &t, PersistAccum &) override
     {
         // Every store already drained; only the commit flag remains.
-        t.syncthreads();
-        if (t.flatThreadIdx() == 0) {
-            Addr flag = flags_.flagAddr(t.blockRank());
-            t.storeAddr<uint32_t>(flag, 1);
-            t.clwb(flag);
-            t.persistBarrier();
-        }
+        flags_.commit(t, /*fence=*/true);
     }
-
-    bool
-    isCommittedHost(uint64_t block) const override
-    {
-        return flags_.isCommittedHost(block);
-    }
-
-    void reset() override { flags_.reset(); }
-
-    uint64_t
-    footprintBytes() const override
-    {
-        return flags_.footprintBytes();
-    }
-
-  private:
-    CommitFlags flags_;
 };
 
 /**
@@ -118,61 +152,24 @@ class StrictStrategy : public PersistStrategy
  * they happen (write-backs overlap with execution) but the persist
  * barrier — the stall — is paid once, when the block's epoch closes.
  */
-class EpochBlockStrategy : public PersistStrategy
+class EpochBlockStrategy : public FlagStrategy
 {
   public:
-    EpochBlockStrategy(Device &dev, const LaunchConfig &launch)
-        : flags_(dev, launch)
+    EpochBlockStrategy(Device &dev, const LpConfig &cfg,
+                       const LaunchConfig &launch)
+        : FlagStrategy(dev, cfg, PersistModel::EpochBlock, launch)
     {
     }
 
-    PersistModel
-    model() const override
-    {
-        return PersistModel::EpochBlock;
-    }
-
-    void
-    prepare(ThreadCtx &, PersistAccum &, Addr, uint32_t) override
-    {
-    }
-
-    void
-    publish(ThreadCtx &t, Addr addr) override
-    {
-        t.clwb(addr);
-    }
+    void publish(ThreadCtx &t, Addr addr) override { t.clwb(addr); }
 
     void
     regionEnd(ThreadCtx &t, PersistAccum &) override
     {
         // Close the epoch: drain this thread's flushes, then commit.
         t.persistBarrier();
-        t.syncthreads();
-        if (t.flatThreadIdx() == 0) {
-            Addr flag = flags_.flagAddr(t.blockRank());
-            t.storeAddr<uint32_t>(flag, 1);
-            t.clwb(flag);
-            t.persistBarrier();
-        }
+        flags_.commit(t, /*fence=*/true);
     }
-
-    bool
-    isCommittedHost(uint64_t block) const override
-    {
-        return flags_.isCommittedHost(block);
-    }
-
-    void reset() override { flags_.reset(); }
-
-    uint64_t
-    footprintBytes() const override
-    {
-        return flags_.footprintBytes();
-    }
-
-  private:
-    CommitFlags flags_;
 };
 
 /**
@@ -183,246 +180,45 @@ class EpochBlockStrategy : public PersistStrategy
  * within the epoch (see docs/PERSISTENCY_MODELS.md for the window the
  * simulator's synchronous clwb does not model).
  */
-class EpochKernelStrategy : public PersistStrategy
+class EpochKernelStrategy : public FlagStrategy
 {
   public:
-    EpochKernelStrategy(Device &dev, const LaunchConfig &launch)
-        : flags_(dev, launch)
+    EpochKernelStrategy(Device &dev, const LpConfig &cfg,
+                        const LaunchConfig &launch)
+        : FlagStrategy(dev, cfg, PersistModel::EpochKernel, launch)
     {
     }
 
-    PersistModel
-    model() const override
-    {
-        return PersistModel::EpochKernel;
-    }
-
-    void
-    prepare(ThreadCtx &, PersistAccum &, Addr, uint32_t) override
-    {
-    }
-
-    void
-    publish(ThreadCtx &t, Addr addr) override
-    {
-        t.clwb(addr);
-    }
+    void publish(ThreadCtx &t, Addr addr) override { t.clwb(addr); }
 
     void
     regionEnd(ThreadCtx &t, PersistAccum &) override
     {
-        t.syncthreads();
-        if (t.flatThreadIdx() == 0) {
-            Addr flag = flags_.flagAddr(t.blockRank());
-            t.storeAddr<uint32_t>(flag, 1);
-            t.clwb(flag);
-        }
+        flags_.commit(t, /*fence=*/false);
     }
-
-    bool
-    isCommittedHost(uint64_t block) const override
-    {
-        return flags_.isCommittedHost(block);
-    }
-
-    void reset() override { flags_.reset(); }
-
-    uint64_t
-    footprintBytes() const override
-    {
-        return flags_.footprintBytes();
-    }
-
-  private:
-    CommitFlags flags_;
-};
-
-/** Eager persistency as a strategy: delegates to EpRuntime. */
-class EagerStrategy : public PersistStrategy
-{
-  public:
-    EagerStrategy(Device &dev, const LaunchConfig &launch,
-                  uint64_t undo_entries_per_thread)
-        : ep_(dev, launch, undo_entries_per_thread)
-    {
-    }
-
-    PersistModel model() const override { return PersistModel::Eager; }
-
-    void
-    prepare(ThreadCtx &t, PersistAccum &acc, Addr addr,
-            uint32_t bytes) override
-    {
-        ep_.logOldValue(t, acc.undo, addr, bytes);
-    }
-
-    void
-    publish(ThreadCtx &t, Addr addr) override
-    {
-        t.clwb(addr);
-    }
-
-    void
-    regionEnd(ThreadCtx &t, PersistAccum &) override
-    {
-        ep_.commitRegion(t);
-    }
-
-    bool
-    isCommittedHost(uint64_t block) const override
-    {
-        return ep_.isCommittedHost(block);
-    }
-
-    uint64_t rollback() override { return ep_.recoverUndo(); }
-
-    void reset() override { ep_.reset(); }
-
-    uint64_t footprintBytes() const override
-    {
-        return ep_.footprintBytes();
-    }
-
-    EpRuntime &runtime() { return ep_; }
-
-  private:
-    EpRuntime ep_;
 };
 
 } // namespace
 
-PersistRuntime::PersistRuntime(Device &dev, const LpConfig &cfg,
-                               const LaunchConfig &launch,
-                               uint64_t undo_entries_per_thread)
-    : dev_(dev), cfg_(cfg), launch_(launch)
+std::unique_ptr<PersistStrategy>
+makePersistStrategy(Device &dev, const LpConfig &cfg,
+                    const LaunchConfig &launch,
+                    uint64_t undo_entries_per_thread)
 {
-    switch (cfg_.persist) {
+    switch (cfg.persist) {
       case PersistModel::Lazy:
-        lp_ = std::make_unique<LpRuntime>(dev_, cfg_, launch_);
-        break;
+        return std::make_unique<LpRuntime>(dev, cfg, launch);
       case PersistModel::Eager:
-        strategy_ = std::make_unique<EagerStrategy>(
-            dev_, launch_, undo_entries_per_thread);
-        break;
+        return std::make_unique<EpRuntime>(dev, cfg, launch,
+                                           undo_entries_per_thread);
       case PersistModel::Strict:
-        strategy_ = std::make_unique<StrictStrategy>(dev_, launch_);
-        break;
+        return std::make_unique<StrictStrategy>(dev, cfg, launch);
       case PersistModel::EpochBlock:
-        strategy_ = std::make_unique<EpochBlockStrategy>(dev_, launch_);
-        break;
+        return std::make_unique<EpochBlockStrategy>(dev, cfg, launch);
       case PersistModel::EpochKernel:
-        strategy_ = std::make_unique<EpochKernelStrategy>(dev_, launch_);
-        break;
+        return std::make_unique<EpochKernelStrategy>(dev, cfg, launch);
     }
-}
-
-PersistRuntime::~PersistRuntime() = default;
-
-LpContext
-PersistRuntime::context()
-{
-    if (lp_)
-        return lp_->context();
-    LpContext ctx;
-    ctx.cfg = &cfg_;
-    ctx.strategy = strategy_.get();
-    return ctx;
-}
-
-void
-PersistRuntime::reset()
-{
-    if (lp_)
-        lp_->reset();
-    else
-        strategy_->reset();
-}
-
-uint64_t
-PersistRuntime::footprintBytes() const
-{
-    return lp_ ? lp_->footprintBytes() : strategy_->footprintBytes();
-}
-
-RecoveryReport
-persistRecover(Device &dev, const LaunchConfig &cfg,
-               PersistStrategy &strategy, const KernelFn &region_kernel,
-               uint64_t max_rounds)
-{
-    RecoverySet failed(dev, cfg.numBlocks());
-
-    RecoveryReport report;
-    report.blocks_checked = cfg.numBlocks();
-    bool first_classification = true;
-
-    // Resolve the power failure before reading any durable state (the
-    // persistence domain is frozen while the latch is pending).
-    if (dev.nvm() && dev.nvm()->crashPending())
-        dev.nvm()->crash();
-
-    while (report.rounds < max_rounds) {
-        ++report.rounds;
-        obs::add(obs::Ctr::RecoveryRounds);
-        obs::TraceSpan round_span("recovery_round", "persist_recovery",
-                                  report.rounds, "round");
-
-        // Models with logs undo uncommitted damage first (eager);
-        // resolves any crash that latched during the previous round.
-        strategy.rollback();
-
-        // Classify on the host from the durable commit flags — the
-        // models' whole validation verdict.
-        failed.clearAll();
-        for (uint64_t b = 0; b < cfg.numBlocks(); ++b) {
-            if (!strategy.isCommittedHost(b))
-                failed.markFailedHost(b);
-        }
-        uint64_t round_failed = failed.failedCount();
-        obs::add(obs::Ctr::RecoveryBlocksFlagged, round_failed);
-        obs::observe(obs::Hist::RecoveryRoundFlagged, round_failed);
-        if (first_classification) {
-            report.blocks_failed = round_failed;
-            first_classification = false;
-        }
-        if (round_failed == 0) {
-            report.converged = true;
-            obs::add(obs::Ctr::RecoveryConverged);
-            break;
-        }
-
-        // Re-execute only the failed (idempotent) blocks; the kernel
-        // body re-commits through its strategy's regionEnd.
-        LaunchResult recover = [&] {
-            obs::TraceSpan span("recover", "persist_recovery",
-                                round_failed, "blocks");
-            return dev.launch(cfg, [&](ThreadCtx &t) {
-                if (!failed.isFailed(t, t.blockRank()))
-                    return;
-                region_kernel(t);
-            });
-        }();
-        report.recover_cycles += recover.cycles;
-        if (recover.crashed) {
-            // A second failure mid-recovery: absorb it and reclassify
-            // from the rewound image (the next round's rollback() sees
-            // the pending latch too, but resolve it here so the loop
-            // invariant — durable state only — holds at the top).
-            ++report.crashes_survived;
-            obs::add(obs::Ctr::RecoveryCrashesSurvived);
-            dev.nvm()->crash();
-            continue;
-        }
-        report.blocks_recovered += round_failed;
-        obs::add(obs::Ctr::RecoveryBlocksReexecuted, round_failed);
-
-        // Checkpoint for forward progress, as in the lazy driver.
-        if (dev.nvm())
-            dev.nvm()->persistAll();
-    }
-
-    if (dev.nvm() && !dev.nvm()->crashPending())
-        dev.nvm()->persistAll();
-    return report;
+    GPULP_PANIC("bad PersistModel");
 }
 
 } // namespace gpulp

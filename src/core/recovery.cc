@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "core/persist.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 
@@ -24,16 +25,10 @@ RecoverySet::markFailed(ThreadCtx &t, uint64_t block)
 }
 
 bool
-RecoverySet::isFailed(ThreadCtx &t, uint64_t block) const
+RecoverySet::isFailedHost(uint64_t block) const
 {
     GPULP_ASSERT(block < num_blocks_, "block %llu out of range",
                  static_cast<unsigned long long>(block));
-    return t.loadAddr<uint32_t>(flags_ + block * 4) != 0;
-}
-
-bool
-RecoverySet::isFailedHost(uint64_t block) const
-{
     uint32_t flag;
     std::memcpy(&flag, dev_.mem().raw(flags_ + block * 4), 4);
     return flag != 0;
@@ -64,19 +59,20 @@ RecoverySet::failedCount() const
 }
 
 RecoveryReport
-lpValidateAndRecover(
-    Device &dev, const LaunchConfig &cfg, const LpContext &lp,
-    const std::function<void(ThreadCtx &, RecoverySet &)> &validate_kernel,
-    const std::function<void(ThreadCtx &, const RecoverySet &)>
-        &recover_kernel,
-    uint64_t max_rounds)
+persistRecover(Device &dev, const LaunchConfig &cfg,
+               PersistStrategy &strategy, const KernelFn &region_kernel,
+               const ValidateFn &validate, uint64_t max_rounds)
 {
-    (void)lp;
     RecoverySet failed(dev, cfg.numBlocks());
 
     RecoveryReport report;
     report.blocks_checked = cfg.numBlocks();
-    bool first_validation = true;
+    bool first_verdict = true;
+
+    // Resolve the power failure before reading any durable state (the
+    // persistence domain is frozen while the latch is pending).
+    if (dev.nvm() && dev.nvm()->crashPending())
+        dev.nvm()->crash();
 
     while (report.rounds < max_rounds) {
         ++report.rounds;
@@ -84,16 +80,17 @@ lpValidateAndRecover(
         obs::TraceSpan round_span("recovery_round", "recovery",
                                   report.rounds, "round");
 
+        // Models with logs undo uncommitted damage first (eager).
+        strategy.rollback();
+
         failed.clearAll();
-        LaunchResult validate = [&] {
+        LaunchResult verdict = [&] {
             obs::TraceSpan span("validate", "recovery", report.rounds,
                                 "round");
-            return dev.launch(cfg, [&](ThreadCtx &t) {
-                validate_kernel(t, failed);
-            });
+            return strategy.verdict(dev, cfg, failed, validate);
         }();
-        report.validate_cycles += validate.cycles;
-        if (validate.crashed) {
+        report.validate_cycles += verdict.cycles;
+        if (verdict.crashed) {
             // A second failure hit while revalidating. Rewind to the
             // last persisted image (the eager checkpoint) and retry.
             ++report.crashes_survived;
@@ -105,11 +102,11 @@ lpValidateAndRecover(
         uint64_t round_failed = failed.failedCount();
         obs::add(obs::Ctr::RecoveryBlocksFlagged, round_failed);
         obs::observe(obs::Hist::RecoveryRoundFlagged, round_failed);
-        if (first_validation) {
+        if (first_verdict) {
             // The damage the original crash caused; later rounds only
             // shrink it, so this is what reports and tests care about.
             report.blocks_failed = round_failed;
-            first_validation = false;
+            first_verdict = false;
         }
         if (round_failed == 0) {
             report.converged = true;
@@ -121,7 +118,8 @@ lpValidateAndRecover(
             obs::TraceSpan span("recover", "recovery", round_failed,
                                 "blocks");
             return dev.launch(cfg, [&](ThreadCtx &t) {
-                recover_kernel(t, failed);
+                if (failed.isFailedHost(t.blockRank()))
+                    region_kernel(t);
             });
         }();
         report.recover_cycles += recover.cycles;
@@ -138,13 +136,13 @@ lpValidateAndRecover(
         // progress holds even if another crash strikes immediately.
         // (If a crash latched in the window since the recovery launch
         // completed, persistAll() is a frozen no-op and the next
-        // validation round absorbs the crash instead.)
+        // round absorbs the crash instead.)
         if (dev.nvm())
             dev.nvm()->persistAll();
     }
 
-    // One more checkpoint on the way out: a converged validation pass
-    // may itself have faulted clean lines; make the verdict durable.
+    // One more checkpoint on the way out: a converged verdict may
+    // itself have faulted clean lines; make the verdict durable.
     if (dev.nvm() && !dev.nvm()->crashPending())
         dev.nvm()->persistAll();
     return report;

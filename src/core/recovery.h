@@ -1,19 +1,25 @@
 /**
  * @file
- * Crash-recovery support: the per-block failed set and the eager
- * recovery driver (Sec. II-A, Sec. IV-A and Listing 7).
+ * Crash-recovery support: the per-block failed set and the recovery
+ * driver every persistency model shares (Sec. II-A, Sec. IV-A and
+ * Listing 7).
  *
- * Recovery after a crash proceeds in two kernels, as in the paper:
+ * Recovery after a crash proceeds in rounds of two steps, as in the
+ * paper:
  *
- *  1. a validation kernel with the original grid dimensions recomputes
- *     every block's checksum from the data found in memory and compares
- *     it with the checksum table — failing blocks are marked in a
- *     RecoverySet;
+ *  1. a verdict marks every block whose region did not durably commit
+ *     in a RecoverySet. Each model supplies its own
+ *     (PersistStrategy::verdict): lazy launches the workload's
+ *     validation kernel, which recomputes every block's checksum from
+ *     the data found in memory and compares it with the checksum
+ *     table; the flag models read their durable commit flags on the
+ *     host;
  *  2. a recovery kernel re-executes only the failed (idempotent)
- *     blocks, re-committing their checksums.
+ *     blocks, which commit again through the same strategy.
  *
- * Eager recovery then persists everything (whole-cache flush) so that
- * forward progress is guaranteed even if another crash follows.
+ * Each round then persists everything (whole-cache flush), the paper's
+ * "eager recovery", so that forward progress is guaranteed even if
+ * another crash follows.
  */
 
 #ifndef GPULP_CORE_RECOVERY_H
@@ -28,8 +34,8 @@
 namespace gpulp {
 
 /**
- * Device-resident array of per-block pass/fail flags produced by
- * validation and consumed by the recovery kernel.
+ * Device-resident array of per-block pass/fail flags produced by a
+ * verdict and consumed by the recovery kernel.
  */
 class RecoverySet
 {
@@ -42,14 +48,10 @@ class RecoverySet
     /** Device-side: mark this block as needing recovery. */
     void markFailed(ThreadCtx &t, uint64_t block);
 
-    /** Device-side: check a block's flag (timed load). */
-    bool isFailed(ThreadCtx &t, uint64_t block) const;
-
-    /** Host-side flag read for reporting. */
+    /** Host-side flag read (untimed). */
     bool isFailedHost(uint64_t block) const;
 
-    /** Host-side: mark a block failed (non-lazy recovery drivers
-     *  classify commit flags on the host before re-execution). */
+    /** Host-side: mark a block failed (the flag models' verdict). */
     void markFailedHost(uint64_t block);
 
     /** Host-side: clear all flags. */
@@ -64,57 +66,65 @@ class RecoverySet
     Addr flags_; //!< one uint32 per block
 };
 
-/** Outcome of a validate-and-recover pass. */
+/**
+ * A workload's validation kernel body: recompute the block's
+ * checksums from memory, call lpValidateRegion() and mark a mismatch
+ * in the set (collective). Only the lazy model's verdict runs it.
+ */
+using ValidateFn = std::function<void(ThreadCtx &, RecoverySet &)>;
+
+/** Outcome of a recovery run. */
 struct RecoveryReport {
     uint64_t blocks_checked = 0;
-    uint64_t blocks_failed = 0;   //!< checksum mismatch or missing entry
+    uint64_t blocks_failed = 0;   //!< marked by the first verdict
     uint64_t blocks_recovered = 0;
-    Cycles validate_cycles = 0;   //!< summed over all validation rounds
+    Cycles validate_cycles = 0;   //!< summed over all verdict launches
     Cycles recover_cycles = 0;    //!< summed over all recovery rounds
-    uint64_t rounds = 0;          //!< validate(+recover) rounds executed
+    uint64_t rounds = 0;          //!< verdict(+recover) rounds executed
     uint64_t crashes_survived = 0;//!< crashes absorbed mid-recovery
-    bool converged = false;       //!< a full validation found 0 failures
+    bool converged = false;       //!< a full verdict found 0 failures
 };
 
+class PersistStrategy; // core/persist.h
+
 /**
- * Run the full eager-recovery protocol.
+ * Recover a kernel protected by @p strategy after a crash.
  *
- * The driver loops validate -> recover -> persistAll until a complete
- * validation pass reports zero failed blocks. A crash that strikes
- * *during* recovery (the second failure the eager protocol is designed
- * for, Sec. IV-A) is absorbed: the NVM model rewinds to the last
- * persisted image and the loop revalidates from there. The eager
- * persistAll() checkpoint after every recovery round guarantees
+ * The driver resolves a still-pending power failure, then loops
+ * rollback -> verdict -> re-execute -> persistAll until a verdict
+ * reports zero failed blocks. rollback() undoes what the model can
+ * (eager's undo log; a no-op elsewhere). The recovery kernel runs
+ * @p region_kernel on the blocks the verdict marked, checking the
+ * mark on the host, and returns at once on every other block. A
+ * crash that strikes *during* recovery (the second failure eager
+ * recovery is designed for, Sec. IV-A) is absorbed: the NVM model
+ * rewinds to the last persisted image and the loop reclassifies from
+ * there. The persistAll() checkpoint after every round guarantees
  * forward progress — each completed round durably shrinks the failed
  * set, so the loop terminates unless crashes re-arm forever.
  *
- * @param dev The device (the NVM model should already have rewound
- *            memory to the persisted image via NvmCache::crash()).
+ * @param dev The device the kernel ran on.
  * @param cfg Grid/block dimensions of the original kernel.
- * @param lp The LP context the original kernel committed through.
- * @param validate_kernel Collective kernel body that recomputes the
- *        block's checksums from memory and calls lpValidateRegion();
- *        it must mark failures in the provided RecoverySet. Signature
- *        matches KernelFn with the set passed by the driver.
- * @param recover_kernel Kernel body that re-executes a block's work
- *        (including lpCommitRegion) when its flag is set and returns
- *        immediately otherwise.
- * @param max_rounds Safety cap on validate/recover rounds; when it is
- *        hit the report comes back with converged == false instead of
- *        looping forever (a store that cannot round-trip a checksum —
- *        e.g. the pre-fix global-array sentinel bug — would otherwise
- *        livelock recovery).
+ * @param strategy The model the original kernel committed through.
+ * @param region_kernel The original kernel body: idempotent, ending
+ *        in persistRegionEnd (or lpCommitRegion) so a re-executed
+ *        block commits again.
+ * @param validate The workload's validation kernel; required by the
+ *        lazy model's verdict, ignored by the flag models'.
+ * @param max_rounds Safety cap on rounds; when it is hit the report
+ *        comes back with converged == false instead of looping forever
+ *        (a store that cannot round-trip a checksum — e.g. the pre-fix
+ *        global-array sentinel bug — would otherwise livelock
+ *        recovery).
  * @return Counts and cycle costs across all rounds. blocks_failed is
- *         the failed count of the *first complete* validation pass —
- *         the damage the crash actually caused — not the sum over
- *         rounds.
+ *         the failed count of the *first complete* verdict — the
+ *         damage the crash actually caused — not the sum over rounds.
  */
-RecoveryReport lpValidateAndRecover(
-    Device &dev, const LaunchConfig &cfg, const LpContext &lp,
-    const std::function<void(ThreadCtx &, RecoverySet &)> &validate_kernel,
-    const std::function<void(ThreadCtx &, const RecoverySet &)>
-        &recover_kernel,
-    uint64_t max_rounds = 32);
+RecoveryReport persistRecover(Device &dev, const LaunchConfig &cfg,
+                              PersistStrategy &strategy,
+                              const KernelFn &region_kernel,
+                              const ValidateFn &validate,
+                              uint64_t max_rounds = 32);
 
 } // namespace gpulp
 

@@ -23,7 +23,10 @@
  * @endcode
  *
  * lpCommitRegion / lpValidateRegion are collectives: every live thread
- * of the block must call them exactly once.
+ * of the block must call them exactly once. Kernels written against
+ * the model-generic persistStore* / persistRegionEnd helpers
+ * (core/persist.h) reach the same fold and commit through LpRuntime,
+ * the lazy PersistStrategy.
  */
 
 #ifndef GPULP_CORE_REGION_H
@@ -40,18 +43,19 @@ class PersistStrategy; // core/persist.h
 
 /**
  * Everything a kernel needs to participate in LP: configuration, the
- * checksum store, and the global scratch used by sequential reduction.
- * Plain aggregate; cheap to capture in kernel lambdas.
+ * checksum store, the global scratch used by sequential reduction,
+ * and the persistency strategy in force. Plain aggregate; cheap to
+ * capture in kernel lambdas. Build one with PersistStrategy::context()
+ * (LpRuntime::context() for lazy).
  *
- * When a non-lazy persistency model is selected, @ref strategy is set
- * and the persistStore* helpers (core/persist.h) route stores through
- * it instead of folding checksums; kernels written against those
- * helpers run unchanged under every model.
+ * The persistStore* helpers (core/persist.h) route every store through
+ * @ref strategy, so kernels written against them run unchanged under
+ * every model; the checksum store and scratch are set only under lazy.
  */
 struct LpContext {
     const LpConfig *cfg = nullptr;
-    ChecksumStore *store = nullptr;
-    PersistStrategy *strategy = nullptr; //!< non-null iff model != Lazy
+    ChecksumStore *store = nullptr;       //!< lazy only
+    PersistStrategy *strategy = nullptr;  //!< the model in force
     ArrayRef<uint64_t> scratch; //!< valid only for SequentialGlobal
 
     /** Fresh accumulator with the configured checksum kind. */

@@ -6,7 +6,7 @@ namespace gpulp {
 
 LpRuntime::LpRuntime(Device &dev, const LpConfig &cfg,
                      const LaunchConfig &launch)
-    : dev_(dev), cfg_(cfg), launch_(launch)
+    : PersistStrategy(cfg, PersistModel::Lazy), dev_(dev)
 {
     store_ = makeChecksumStore(dev_, cfg_, launch.numBlocks());
     if (cfg_.reduction == ReductionKind::SequentialGlobal) {
@@ -18,11 +18,25 @@ LpRuntime::LpRuntime(Device &dev, const LpConfig &cfg,
 LpContext
 LpRuntime::context()
 {
-    LpContext ctx;
-    ctx.cfg = &cfg_;
+    LpContext ctx = PersistStrategy::context();
     ctx.store = store_.get();
     ctx.scratch = scratch_;
     return ctx;
+}
+
+void
+LpRuntime::regionEnd(ThreadCtx &t, PersistAccum &acc)
+{
+    lpCommitRegion(t, context(), acc.checksums);
+}
+
+LaunchResult
+LpRuntime::verdict(Device &dev, const LaunchConfig &launch,
+                   RecoverySet &failed, const ValidateFn &validate)
+{
+    GPULP_ASSERT(validate, "lazy recovery needs a validation kernel");
+    return dev.launch(launch,
+                      [&](ThreadCtx &t) { validate(t, failed); });
 }
 
 uint64_t

@@ -1,11 +1,14 @@
 /**
  * @file
- * LpRuntime: the host-side facade tying the LP pieces together.
+ * LpRuntime: the lazy persistency model, the paper's scheme.
  *
  * This is the runtime the paper's `#pragma nvm lpcuda_init` directive
  * lowers to: it owns the checksum store sized for the kernel's grid,
  * allocates reduction scratch when the configuration needs it, and
- * hands kernels a ready LpContext.
+ * hands kernels a ready LpContext. As a PersistStrategy it folds every
+ * persistent store into the thread's checksum, commits the block's
+ * checksum at region end and answers recovery's verdict with the
+ * workload's validation kernel.
  */
 
 #ifndef GPULP_CORE_RUNTIME_H
@@ -14,7 +17,7 @@
 #include <memory>
 
 #include "core/checksum_store.h"
-#include "core/region.h"
+#include "core/persist.h"
 #include "sim/device.h"
 
 namespace gpulp {
@@ -23,7 +26,7 @@ namespace gpulp {
  * Per-kernel LP state: create one next to each LP-protected kernel
  * launch (matching the one-lpcuda_init-per-region rule of Sec. VI).
  */
-class LpRuntime
+class LpRuntime : public PersistStrategy
 {
   public:
     /**
@@ -35,28 +38,38 @@ class LpRuntime
      */
     LpRuntime(Device &dev, const LpConfig &cfg, const LaunchConfig &launch);
 
-    /** The context kernels capture. */
-    LpContext context();
+    /** The context kernels capture: store and scratch included. */
+    LpContext context() override;
 
     /** The underlying checksum store. */
     ChecksumStore &store() { return *store_; }
 
-    /** Configuration in force. */
-    const LpConfig &config() const { return cfg_; }
+    /** Fold a stored value into the thread's checksum. */
+    void
+    fold(ThreadCtx &t, PersistAccum &acc, uint32_t bits) override
+    {
+        acc.checksums.protectU32(t, bits);
+    }
+
+    /** Reduce the block's checksums and commit them (lpCommitRegion). */
+    void regionEnd(ThreadCtx &t, PersistAccum &acc) override;
+
+    /** Launch @p validate over @p launch: the checksum verdict. */
+    LaunchResult verdict(Device &dev, const LaunchConfig &launch,
+                         RecoverySet &failed,
+                         const ValidateFn &validate) override;
 
     /**
      * Bytes of device memory this LP instance adds (checksum store +
      * scratch) — the numerator of Table V's space overhead.
      */
-    uint64_t footprintBytes() const;
+    uint64_t footprintBytes() const override;
 
     /** Clear the store (and scratch) for a fresh run. */
-    void reset();
+    void reset() override;
 
   private:
     Device &dev_;
-    LpConfig cfg_;
-    LaunchConfig launch_;
     std::unique_ptr<ChecksumStore> store_;
     ArrayRef<uint64_t> scratch_;
 };

@@ -252,7 +252,7 @@ runVictimProcess(const CrashHarnessOptions &opts, uint64_t point)
  * The fresh process that comes back from the dead. Reopens the log the
  * victim left behind (torn tail and all), rebuilds the NVM image,
  * classifies the damage against the golden bytes and drives
- * lpValidateAndRecover() to convergence.
+ * persistRecover() to convergence.
  */
 [[noreturn]] void
 runRecoveryProcess(const CrashHarnessOptions &opts, uint64_t point,
@@ -295,7 +295,7 @@ runRecoveryProcess(const CrashHarnessOptions &opts, uint64_t point,
     std::vector<std::vector<OutputSpan>> block_spans =
         collectBlockSpans(*rig.w, num_blocks);
 
-    BlockClassification cls = classifyAgainstGolden(
+    BlockClassification cls = classifyCrash(
         *rig.dev, rig.launch, *rig.w, rig.ctx, block_spans, golden_blocks);
     trial.corrupt_blocks = cls.corrupt_blocks;
     trial.flagged_blocks = cls.flagged_blocks;
@@ -303,14 +303,11 @@ runRecoveryProcess(const CrashHarnessOptions &opts, uint64_t point,
     trial.false_fails = cls.false_fails;
     trial.false_passes = cls.false_passes;
 
-    RecoveryReport rep = lpValidateAndRecover(
-        *rig.dev, rig.launch, rig.ctx,
+    RecoveryReport rep = persistRecover(
+        *rig.dev, rig.launch, *rig.lp,
+        [&](ThreadCtx &t) { rig.w->kernel(t, &rig.ctx); },
         [&](ThreadCtx &t, RecoverySet &failed) {
             rig.w->validation(t, rig.ctx, failed);
-        },
-        [&](ThreadCtx &t, const RecoverySet &failed) {
-            if (failed.isFailedHost(t.blockRank()))
-                rig.w->kernel(t, &rig.ctx);
         });
     trial.blocks_recovered = rep.blocks_recovered;
     trial.recovery_rounds = rep.rounds;

@@ -17,8 +17,8 @@
  *     NvmCache::restoreFromLog(), classifies every thread block
  *     against the golden run (true-fail / false-fail / false-pass,
  *     via the campaign's ground-truth span machinery), runs
- *     lpValidateAndRecover(), and re-checks that the recovered output
- *     is byte-identical, durable and host-verified.
+ *     persistRecover(), and re-checks that the recovered output is
+ *     byte-identical, durable and host-verified.
  *
  * With an empty log path the victim runs the default in-memory device:
  * the kill then loses *everything*, and the harness checks the

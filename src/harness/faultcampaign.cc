@@ -6,9 +6,7 @@
 
 #include "common/prng.h"
 #include "core/persist.h"
-#include "core/recovery.h"
 #include "obs/trace.h"
-#include "core/runtime.h"
 #include "nvm/nvm_cache.h"
 #include "sim/device.h"
 #include "workloads/workload.h"
@@ -61,33 +59,21 @@ runTrial(Device &dev, NvmCache &nvm, Workload &w, const LpContext &ctx,
     trial.torn_lines = nvm.crash();
 
     // Ground truth + the model's own failure verdict on the crashed
-    // image, before recovery runs. Lazy asks the checksum validation
-    // kernel; the commit-flag models ask the durable flag directly.
+    // image, before recovery runs.
     BlockClassification cls =
-        ctx.strategy != nullptr
-            ? classifyByCommitFlags(dev, launch, *ctx.strategy,
-                                    block_spans, golden_blocks)
-            : classifyAgainstGolden(dev, launch, w, ctx, block_spans,
-                                    golden_blocks);
+        classifyCrash(dev, launch, w, ctx, block_spans, golden_blocks);
     trial.corrupt_blocks = cls.corrupt_blocks;
     trial.flagged_blocks = cls.flagged_blocks;
     trial.true_fails = cls.true_fails;
     trial.false_fails = cls.false_fails;
     trial.false_passes = cls.false_passes;
 
-    RecoveryReport rep =
-        ctx.strategy != nullptr
-            ? persistRecover(dev, launch, *ctx.strategy,
-                             [&](ThreadCtx &t) { w.kernel(t, &ctx); })
-            : lpValidateAndRecover(
-                  dev, launch, ctx,
-                  [&](ThreadCtx &t, RecoverySet &failed) {
-                      w.validation(t, ctx, failed);
-                  },
-                  [&](ThreadCtx &t, const RecoverySet &failed) {
-                      if (failed.isFailedHost(t.blockRank()))
-                          w.kernel(t, &ctx);
-                  });
+    RecoveryReport rep = persistRecover(
+        dev, launch, *ctx.strategy,
+        [&](ThreadCtx &t) { w.kernel(t, &ctx); },
+        [&](ThreadCtx &t, RecoverySet &failed) {
+            w.validation(t, ctx, failed);
+        });
     trial.blocks_recovered = rep.blocks_recovered;
     trial.recovery_rounds = rep.rounds;
     trial.crashes_survived = rep.crashes_survived;
@@ -143,11 +129,10 @@ runCell(const CampaignOptions &opts, const std::string &name,
     const uint64_t num_blocks = launch.numBlocks();
     LpConfig cfg = campaignCellConfig(*w, table, kind);
     cfg.persist = model;
-    // For Lazy this wraps the usual LpRuntime; the other models build
-    // their strategy (commit flags, and for eager an undo log sized by
-    // the workload's worst-case store count) instead.
-    PersistRuntime pr(dev, cfg, launch, w->persistentStoresPerThread());
-    LpContext ctx = pr.context();
+    // Eager sizes its undo log by the workload's worst-case store count.
+    std::unique_ptr<PersistStrategy> strategy = makePersistStrategy(
+        dev, cfg, launch, w->persistentStoresPerThread());
+    LpContext ctx = strategy->context();
 
     std::vector<std::vector<OutputSpan>> block_spans(num_blocks);
     for (uint64_t b = 0; b < num_blocks; ++b) {
@@ -267,11 +252,10 @@ CrashSchedule::nextAfter(uint64_t observed)
 }
 
 BlockClassification
-classifyAgainstGolden(
-    Device &dev, const LaunchConfig &launch, Workload &w,
-    const LpContext &ctx,
-    const std::vector<std::vector<OutputSpan>> &block_spans,
-    const std::vector<std::vector<uint8_t>> &golden_blocks)
+classifyCrash(Device &dev, const LaunchConfig &launch, Workload &w,
+              const LpContext &ctx,
+              const std::vector<std::vector<OutputSpan>> &block_spans,
+              const std::vector<std::vector<uint8_t>> &golden_blocks)
 {
     const uint64_t num_blocks = launch.numBlocks();
     BlockClassification cls;
@@ -286,11 +270,12 @@ classifyAgainstGolden(
         cls.corrupt_blocks += corrupt[b];
     }
 
-    // Validation verdict on the crashed image, before recovery runs.
+    // The model's verdict on the crashed image, before recovery runs.
     RecoverySet flagged(dev, num_blocks);
-    LaunchResult v = dev.launch(launch, [&](ThreadCtx &t) {
-        w.validation(t, ctx, flagged);
-    });
+    LaunchResult v = ctx.strategy->verdict(
+        dev, launch, flagged, [&](ThreadCtx &t, RecoverySet &failed) {
+            w.validation(t, ctx, failed);
+        });
     GPULP_ASSERT(!v.crashed, "classification validation crashed");
     for (uint64_t b = 0; b < num_blocks; ++b) {
         bool f = flagged.isFailedHost(b);
@@ -300,33 +285,6 @@ classifyAgainstGolden(
         else if (!corrupt[b] && f)
             ++cls.false_fails;
         else if (corrupt[b] && !f)
-            ++cls.false_passes;
-    }
-    return cls;
-}
-
-BlockClassification
-classifyByCommitFlags(
-    Device &dev, const LaunchConfig &launch,
-    const PersistStrategy &strategy,
-    const std::vector<std::vector<OutputSpan>> &block_spans,
-    const std::vector<std::vector<uint8_t>> &golden_blocks)
-{
-    const uint64_t num_blocks = launch.numBlocks();
-    BlockClassification cls;
-    for (uint64_t b = 0; b < num_blocks; ++b) {
-        bool corrupt =
-            readOutputSpans(dev.mem(), block_spans[b]) != golden_blocks[b];
-        // The durable commit verdict — what the recovery driver itself
-        // reads after a reboot, not the (possibly newer) volatile flag.
-        bool flagged = !strategy.isCommittedHost(b);
-        cls.corrupt_blocks += corrupt;
-        cls.flagged_blocks += flagged;
-        if (corrupt && flagged)
-            ++cls.true_fails;
-        else if (!corrupt && flagged)
-            ++cls.false_fails;
-        else if (corrupt && !flagged)
             ++cls.false_passes;
     }
     return cls;

@@ -109,15 +109,13 @@ MegaKv::insertKernel(ThreadCtx &t, const LpContext *lp)
         // Otherwise the slot raced away; keep scanning this bucket.
     }
     persistStoreU32NoFold(t, lp, acc, statuses_, op, status);
-    if (lazyProtected(lp)) {
-        // Fold the post-state actually left in the table: a dropped
-        // insert leaves the key absent, and validation will recompute
-        // 0 for it — an application-level miss, not a checksum
-        // mismatch. Folding the operand value here would turn every
-        // full bucket into a false persistency failure.
-        acc.checksums.protectU32(t, key);
-        acc.checksums.protectU32(t, status == kKvMiss ? 0u : value);
-    }
+    // Fold the post-state actually left in the table: a dropped insert
+    // leaves the key absent, and validation will recompute 0 for it —
+    // an application-level miss, not a checksum mismatch. Folding the
+    // operand value here would turn every full bucket into a false
+    // persistency failure.
+    persistFold(t, lp, acc, key);
+    persistFold(t, lp, acc, status == kKvMiss ? 0u : value);
     persistRegionEnd(t, lp, acc);
 }
 
@@ -145,10 +143,8 @@ MegaKv::searchKernel(ThreadCtx &t, const LpContext *lp)
     // An explicit presence bit: a stored value of 0 (status kKvHit,
     // result 0) is not the same answer as "key absent" (status kKvMiss).
     persistStoreU32NoFold(t, lp, acc, statuses_, op, status);
-    if (lazyProtected(lp)) {
-        acc.checksums.protectU32(t, status);
-        acc.checksums.protectU32(t, value);
-    }
+    persistFold(t, lp, acc, status);
+    persistFold(t, lp, acc, value);
     persistRegionEnd(t, lp, acc);
 }
 
@@ -173,15 +169,12 @@ MegaKv::eraseKernel(ThreadCtx &t, const LpContext *lp)
         }
     }
     persistStoreU32NoFold(t, lp, acc, statuses_, op, status);
-    if (lazyProtected(lp)) {
-        // Fold the key and its post-erase presence. Unlike insert's
-        // drop path this is 0 on *both* outcomes — erased or never
-        // there, the key is absent afterwards — which is exactly what
-        // validateErases recomputes, so the unconditional fold is
-        // honest here.
-        acc.checksums.protectU32(t, key);
-        acc.checksums.protectU32(t, 0u);
-    }
+    // Fold the key and its post-erase presence. Unlike insert's drop
+    // path this is 0 on *both* outcomes — erased or never there, the
+    // key is absent afterwards — which is exactly what validateErases
+    // recomputes, so the unconditional fold is honest here.
+    persistFold(t, lp, acc, key);
+    persistFold(t, lp, acc, 0u);
     persistRegionEnd(t, lp, acc);
 }
 

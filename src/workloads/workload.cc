@@ -31,26 +31,11 @@ runBaseline(Device &dev, Workload &w)
 }
 
 LaunchResult
-runWithLp(Device &dev, Workload &w, LpRuntime &lp)
+runWithLp(Device &dev, Workload &w, PersistStrategy &strategy)
 {
-    LpContext ctx = lp.context();
+    LpContext ctx = strategy.context();
     return dev.launch(w.launchConfig(),
                       [&](ThreadCtx &t) { w.kernel(t, &ctx); });
-}
-
-LaunchResult
-runWithPersist(Device &dev, Workload &w, PersistRuntime &pr)
-{
-    LpContext ctx = pr.context();
-    return dev.launch(w.launchConfig(),
-                      [&](ThreadCtx &t) { w.kernel(t, &ctx); });
-}
-
-std::unique_ptr<PersistRuntime>
-makePersistRuntime(Device &dev, const LpConfig &cfg, Workload &w)
-{
-    return std::make_unique<PersistRuntime>(
-        dev, cfg, w.launchConfig(), w.persistentStoresPerThread());
 }
 
 double

@@ -11,10 +11,11 @@
  * arithmetic charged to the timing model (see each workload's header).
  *
  * A workload exposes one kernel body that runs either bare (baseline,
- * no crash support — the paper's reference) or LP-instrumented when
- * handed an LpContext: every persistent store is then folded into the
- * region checksum and the block commits it at the end. It also exposes
- * the matching validation kernel used after a crash.
+ * no crash support — the paper's reference) or protected when handed
+ * an LpContext: every persistent store then goes through the context's
+ * persistency strategy (under lazy, folded into the region checksum)
+ * and the block commits its region at the end. It also exposes the
+ * matching validation kernel the lazy model's recovery verdict runs.
  */
 
 #ifndef GPULP_WORKLOADS_WORKLOAD_H
@@ -64,8 +65,8 @@ class Workload
 
     /**
      * The kernel body. With @p lp == nullptr this is the baseline; with
-     * an LpContext every persistent store is checksummed and the block
-     * commits its region checksum at the end (collective).
+     * an LpContext every persistent store goes through its strategy
+     * and the block commits its region at the end (collective).
      */
     virtual void kernel(ThreadCtx &t, const LpContext *lp) = 0;
 
@@ -137,19 +138,9 @@ void chargeBlockJitter(ThreadCtx &t, uint32_t span);
 /** Run the baseline (no crash support) kernel once. */
 LaunchResult runBaseline(Device &dev, Workload &w);
 
-/** Run the LP-instrumented kernel once through @p lp. */
-LaunchResult runWithLp(Device &dev, Workload &w, LpRuntime &lp);
-
-/** Run the kernel once under whatever persistency model @p pr holds. */
-LaunchResult runWithPersist(Device &dev, Workload &w, PersistRuntime &pr);
-
-/**
- * PersistRuntime sized for @p w: eager undo-log capacity comes from
- * the workload's persistentStoresPerThread().
- */
-std::unique_ptr<PersistRuntime> makePersistRuntime(Device &dev,
-                                                   const LpConfig &cfg,
-                                                   Workload &w);
+/** Run the protected kernel once under @p strategy's model (an
+ *  LpRuntime for the paper's lazy persistency). */
+LaunchResult runWithLp(Device &dev, Workload &w, PersistStrategy &strategy);
 
 /**
  * Fractional overhead of @p lp_cycles versus @p baseline_cycles

@@ -520,14 +520,11 @@ TEST(AnalysisTest, CrashLatchAbortsAndRecoversUnderSeededRandom)
             dev.launch(launch, [&](ThreadCtx &t) { w->kernel(t, &ctx); });
         EXPECT_TRUE(r.crashed) << "seed " << seed;
         nvm.crash();
-        RecoveryReport rep = lpValidateAndRecover(
-            dev, launch, ctx,
+        RecoveryReport rep = persistRecover(
+            dev, launch, lp,
+            [&](ThreadCtx &t) { w->kernel(t, &ctx); },
             [&](ThreadCtx &t, RecoverySet &failed) {
                 w->validation(t, ctx, failed);
-            },
-            [&](ThreadCtx &t, const RecoverySet &failed) {
-                if (failed.isFailedHost(t.blockRank()))
-                    w->kernel(t, &ctx);
             });
         EXPECT_TRUE(rep.converged) << "seed " << seed;
         std::string why;

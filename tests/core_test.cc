@@ -656,19 +656,15 @@ TEST_P(CrashRecoveryEndToEnd, RecoversExactOutputAfterInjectedCrash)
     nvm.crash();
 
     // Validate + recover.
-    RecoveryReport report = lpValidateAndRecover(
-        dev, cfg, ctx,
+    RecoveryReport report = persistRecover(
+        dev, cfg, lp,
+        kernel,
         [&](ThreadCtx &t, RecoverySet &failed) {
             ChecksumAccum acc = ctx.makeAccum();
             acc.protectFloat(t, t.load(out, t.globalThreadIdx()));
             bool ok = lpValidateRegion(t, ctx, acc);
             if (t.flatThreadIdx() == 0 && !ok)
                 failed.markFailed(t, t.blockRank());
-        },
-        [&](ThreadCtx &t, const RecoverySet &failed) {
-            if (!failed.isFailedHost(t.blockRank()))
-                return;
-            kernel(t);
         });
 
     EXPECT_EQ(report.blocks_checked, cfg.numBlocks());

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the Eager Persistency baseline: clwb/persistBarrier
- * semantics and timing, the undo-logging store protocol, durable
- * commit flags, crash recovery by rollback, and the headline
- * comparisons against LP (overhead and write amplification).
+ * semantics and timing, EpRuntime driven through the PersistStrategy
+ * calls (undo-logging prepare, durable commit flags, crash recovery by
+ * rollback), and the headline comparisons against LP (overhead and
+ * write amplification) with both models behind the same calls.
  */
 
 #include <gtest/gtest.h>
@@ -78,15 +79,14 @@ TEST(EpRuntimeTest, ProtectedStoreWritesThroughAndLogs)
     auto data = ArrayRef<uint32_t>::allocate(dev.mem(), 8);
     for (int i = 0; i < 8; ++i)
         data.hostAt(i) = 1000 + i;
-    EpRuntime ep(dev, cfg, 8);
+    EpRuntime ep(dev, LpConfig::scalable(), cfg, 8);
     nvm.persistAll();
 
     dev.launch(cfg, [&](ThreadCtx &t) {
-        EpRuntime::ThreadLog tlog;
+        PersistAccum acc;
         uint64_t i = t.globalThreadIdx();
-        ep.protectedStore32(t, tlog, data.addrOf(i),
-                            static_cast<uint32_t>(2000 + i));
-        ep.commitRegion(t);
+        ep.store32(t, acc, data.addrOf(i), static_cast<uint32_t>(2000 + i));
+        ep.regionEnd(t, acc);
     });
     for (uint64_t i = 0; i < 8; ++i)
         EXPECT_EQ(data.hostAt(i), 2000 + i);
@@ -108,21 +108,20 @@ TEST(EpRuntimeTest, UncommittedRegionRollsBackFromUndoLog)
     auto data = ArrayRef<uint32_t>::allocate(dev.mem(), 4);
     for (int i = 0; i < 4; ++i)
         data.hostAt(i) = 7000 + i;
-    EpRuntime ep(dev, cfg, 8);
+    EpRuntime ep(dev, LpConfig::scalable(), cfg, 8);
     nvm.persistAll();
 
     // Stores happen but the region never commits (simulating a crash
     // between the data flushes and the commit flag).
     dev.launch(cfg, [&](ThreadCtx &t) {
-        EpRuntime::ThreadLog tlog;
+        PersistAccum acc;
         uint64_t i = t.globalThreadIdx();
-        ep.protectedStore32(t, tlog, data.addrOf(i),
-                            static_cast<uint32_t>(1 + i));
-        // no commitRegion
+        ep.store32(t, acc, data.addrOf(i), static_cast<uint32_t>(1 + i));
+        // no regionEnd
     });
     nvm.crash();
 
-    uint64_t rolled = ep.recoverUndo();
+    uint64_t rolled = ep.rollback();
     EXPECT_EQ(rolled, 1u);
     for (int i = 0; i < 4; ++i)
         EXPECT_EQ(data.hostAt(i), 7000u + static_cast<uint32_t>(i))
@@ -140,20 +139,19 @@ TEST(EpRuntimeTest, RecoverUndoLeavesCommittedRegionsAlone)
     dev.attachNvm(&nvm);
     LaunchConfig cfg(Dim3(2), Dim3(2));
     auto data = ArrayRef<uint32_t>::allocate(dev.mem(), 4);
-    EpRuntime ep(dev, cfg, 4);
+    EpRuntime ep(dev, LpConfig::scalable(), cfg, 4);
     nvm.persistAll();
 
     // Block 0 commits; block 1 does not.
     dev.launch(cfg, [&](ThreadCtx &t) {
-        EpRuntime::ThreadLog tlog;
+        PersistAccum acc;
         uint64_t i = t.globalThreadIdx();
-        ep.protectedStore32(t, tlog, data.addrOf(i),
-                            static_cast<uint32_t>(50 + i));
+        ep.store32(t, acc, data.addrOf(i), static_cast<uint32_t>(50 + i));
         if (t.blockRank() == 0)
-            ep.commitRegion(t);
+            ep.regionEnd(t, acc);
     });
     nvm.crash();
-    uint64_t rolled = ep.recoverUndo();
+    uint64_t rolled = ep.rollback();
     EXPECT_EQ(rolled, 1u);
     EXPECT_EQ(data.hostAt(0), 50u);
     EXPECT_EQ(data.hostAt(1), 51u);
@@ -174,15 +172,14 @@ TEST(EpRuntimeTest, CommitVerdictReadsDurableImageNotArena)
     auto data = ArrayRef<uint32_t>::allocate(dev.mem(), 2);
     data.hostAt(0) = 11;
     data.hostAt(1) = 22;
-    EpRuntime ep(dev, cfg, 4);
+    EpRuntime ep(dev, LpConfig::scalable(), cfg, 4);
     nvm.persistAll();
 
     auto body = [&](ThreadCtx &t) {
-        EpRuntime::ThreadLog tlog;
+        PersistAccum acc;
         uint64_t i = t.globalThreadIdx();
-        ep.protectedStore32(t, tlog, data.addrOf(i),
-                            static_cast<uint32_t>(100 + i));
-        ep.commitRegion(t);
+        ep.store32(t, acc, data.addrOf(i), static_cast<uint32_t>(100 + i));
+        ep.regionEnd(t, acc);
     };
 
     // Dry run to count observed stores; the commit flag is the last.
@@ -205,7 +202,7 @@ TEST(EpRuntimeTest, CommitVerdictReadsDurableImageNotArena)
            "the arena the un-persisted flag store landed in";
     nvm.crash();
     EXPECT_FALSE(ep.isCommittedHost(0));
-    EXPECT_EQ(ep.recoverUndo(), 1u);
+    EXPECT_EQ(ep.rollback(), 1u);
     EXPECT_EQ(data.hostAt(0), 11u);
     EXPECT_EQ(data.hostAt(1), 22u);
 }
@@ -225,13 +222,13 @@ TEST(EpRuntimeTest, GarbageEntryTargetingAddressZeroIsSkippedByCrc)
     LaunchConfig cfg(Dim3(1), Dim3(1));
     auto data = ArrayRef<uint32_t>::allocate(dev.mem(), 1);
     data.hostAt(0) = 777;
-    EpRuntime ep(dev, cfg, 2);
+    EpRuntime ep(dev, LpConfig::scalable(), cfg, 2);
     nvm.persistAll();
 
     dev.launch(cfg, [&](ThreadCtx &t) {
-        EpRuntime::ThreadLog tlog;
-        ep.protectedStore32(t, tlog, data.addrOf(0), 888);
-        // no commitRegion: the region stays open across the crash
+        PersistAccum acc;
+        ep.store32(t, acc, data.addrOf(0), 888);
+        // no regionEnd: the region stays open across the crash
     });
 
     // Forge a garbage slot *after* the genuine entry (scanned first by
@@ -247,7 +244,7 @@ TEST(EpRuntimeTest, GarbageEntryTargetingAddressZeroIsSkippedByCrc)
     nvm.persistRange(ep.logEntryAddr(0, 1), EpRuntime::kLogEntryBytes);
 
     nvm.crash();
-    EXPECT_EQ(ep.recoverUndo(), 1u);
+    EXPECT_EQ(ep.rollback(), 1u);
     EXPECT_EQ(data.hostAt(0), 777u)
         << "the genuine entry behind the garbage slot must still be "
            "applied";
@@ -268,7 +265,7 @@ TEST(EpRuntimeTest, GarbageLogEntryIsRejectedByCrc)
     auto data = ArrayRef<uint32_t>::allocate(dev.mem(), 1);
     data.hostAt(0) = 31337;
     LaunchConfig cfg(Dim3(1), Dim3(1));
-    EpRuntime ep(dev, cfg, 2);
+    EpRuntime ep(dev, LpConfig::scalable(), cfg, 2);
 
     // Forge an entry targeting the (valid, in-range) data address with
     // a garbage old-value and a CRC that does not match.
@@ -285,7 +282,7 @@ TEST(EpRuntimeTest, GarbageLogEntryIsRejectedByCrc)
 
     // Block 0 is uncommitted, so recovery scans its log — and must
     // skip the forged entry.
-    ep.recoverUndo();
+    ep.rollback();
     EXPECT_EQ(data.hostAt(0), 31337u)
         << "a CRC-invalid log entry must never be applied";
 }
@@ -295,11 +292,11 @@ TEST(EpRuntimeTest, ResetClearsState)
     Device dev;
     LaunchConfig cfg(Dim3(1), Dim3(1));
     auto data = ArrayRef<uint32_t>::allocate(dev.mem(), 1);
-    EpRuntime ep(dev, cfg, 4);
+    EpRuntime ep(dev, LpConfig::scalable(), cfg, 4);
     dev.launch(cfg, [&](ThreadCtx &t) {
-        EpRuntime::ThreadLog tlog;
-        ep.protectedStore32(t, tlog, data.addrOf(0), 1);
-        ep.commitRegion(t);
+        PersistAccum acc;
+        ep.store32(t, acc, data.addrOf(0), 1);
+        ep.regionEnd(t, acc);
     });
     EXPECT_TRUE(ep.isCommittedHost(0));
     ep.reset();
@@ -316,13 +313,13 @@ TEST(EpRuntimeTest, ResetPersistsTheClearedCommitFlags)
     dev.attachNvm(&nvm);
     LaunchConfig cfg(Dim3(1), Dim3(1));
     auto data = ArrayRef<uint32_t>::allocate(dev.mem(), 1);
-    EpRuntime ep(dev, cfg, 2);
+    EpRuntime ep(dev, LpConfig::scalable(), cfg, 2);
     nvm.persistAll();
 
     dev.launch(cfg, [&](ThreadCtx &t) {
-        EpRuntime::ThreadLog tlog;
-        ep.protectedStore32(t, tlog, data.addrOf(0), 5);
-        ep.commitRegion(t); // flag durably set
+        PersistAccum acc;
+        ep.store32(t, acc, data.addrOf(0), 5);
+        ep.regionEnd(t, acc); // flag durably set
     });
     ASSERT_TRUE(ep.isCommittedHost(0));
 
@@ -331,6 +328,21 @@ TEST(EpRuntimeTest, ResetPersistsTheClearedCommitFlags)
     EXPECT_FALSE(ep.isCommittedHost(0))
         << "reset must persist the cleared flags; a crash rewind must "
            "not resurrect the previous run's commit";
+}
+
+/** One store per thread through @p s's protocol, then the commit. */
+LaunchResult
+runProtected(Device &dev, const LaunchConfig &cfg, PersistStrategy &s,
+             ArrayRef<uint32_t> data, uint32_t compute)
+{
+    LpContext ctx = s.context();
+    return dev.launch(cfg, [&](ThreadCtx &t) {
+        PersistAccum acc = makePersistAccum(&ctx);
+        uint64_t i = t.globalThreadIdx();
+        t.compute(compute);
+        s.store32(t, acc, data.addrOf(i), static_cast<uint32_t>(i));
+        s.regionEnd(t, acc);
+    });
 }
 
 TEST(EpVsLpTest, EpCostsFarMoreThanLp)
@@ -349,26 +361,9 @@ TEST(EpVsLpTest, EpCostsFarMoreThanLp)
     });
 
     LpRuntime lp(dev, LpConfig::scalable(), cfg);
-    LpContext ctx = lp.context();
-    auto lp_run = dev.launch(cfg, [&](ThreadCtx &t) {
-        ChecksumAccum acc = ctx.makeAccum();
-        uint64_t i = t.globalThreadIdx();
-        t.compute(3000);
-        uint32_t v = static_cast<uint32_t>(i);
-        t.store(data, i, v);
-        acc.protectU32(t, v);
-        lpCommitRegion(t, ctx, acc);
-    });
-
-    EpRuntime ep(dev, cfg, 4);
-    auto ep_run = dev.launch(cfg, [&](ThreadCtx &t) {
-        EpRuntime::ThreadLog tlog;
-        uint64_t i = t.globalThreadIdx();
-        t.compute(3000);
-        ep.protectedStore32(t, tlog, data.addrOf(i),
-                            static_cast<uint32_t>(i));
-        ep.commitRegion(t);
-    });
+    auto lp_run = runProtected(dev, cfg, lp, data, 3000);
+    EpRuntime ep(dev, LpConfig::scalable(), cfg, 4);
+    auto ep_run = runProtected(dev, cfg, ep, data, 3000);
 
     double lp_overhead = overheadOf(baseline.cycles, lp_run.cycles);
     double ep_overhead = overheadOf(baseline.cycles, ep_run.cycles);
@@ -378,47 +373,38 @@ TEST(EpVsLpTest, EpCostsFarMoreThanLp)
 
 TEST(EpVsLpTest, EpWriteAmplificationDwarfsLp)
 {
-    auto nvm_writes = [](auto &&run_kernel) {
+    // NVM line writes of one store per thread, run to completion, under
+    // no protection (@p model null) or the given model.
+    auto nvm_writes = [](const PersistModel *model) {
         Device dev;
         NvmCache nvm(dev.mem(), NvmParams{});
         dev.attachNvm(&nvm);
         LaunchConfig cfg(Dim3(16), Dim3(64));
         auto data = ArrayRef<uint32_t>::allocate(dev.mem(),
                                                  cfg.numBlocks() * 64);
+        std::unique_ptr<PersistStrategy> s;
+        if (model != nullptr) {
+            LpConfig lpc = LpConfig::scalable();
+            lpc.persist = *model;
+            s = makePersistStrategy(dev, lpc, cfg, 128);
+        }
         nvm.persistAll();
         nvm.resetStats();
-        run_kernel(dev, cfg, data);
+        if (s != nullptr) {
+            runProtected(dev, cfg, *s, data, 0);
+        } else {
+            dev.launch(cfg, [&](ThreadCtx &t) {
+                t.store(data, t.globalThreadIdx(), 1u);
+            });
+        }
         nvm.persistAll(); // drain, run-to-completion accounting
         return nvm.stats().nvmLineWrites();
     };
-
-    uint64_t base = nvm_writes([](Device &dev, LaunchConfig cfg,
-                                  ArrayRef<uint32_t> &data) {
-        dev.launch(cfg, [&](ThreadCtx &t) {
-            t.store(data, t.globalThreadIdx(), 1u);
-        });
-    });
-    uint64_t lp = nvm_writes([](Device &dev, LaunchConfig cfg,
-                                ArrayRef<uint32_t> &data) {
-        LpRuntime runtime(dev, LpConfig::scalable(), cfg);
-        LpContext ctx = runtime.context();
-        dev.launch(cfg, [&](ThreadCtx &t) {
-            ChecksumAccum acc = ctx.makeAccum();
-            t.store(data, t.globalThreadIdx(), 1u);
-            acc.protectU32(t, 1u);
-            lpCommitRegion(t, ctx, acc);
-        });
-    });
-    uint64_t ep = nvm_writes([](Device &dev, LaunchConfig cfg,
-                                ArrayRef<uint32_t> &data) {
-        EpRuntime runtime(dev, cfg, 128);
-        dev.launch(cfg, [&](ThreadCtx &t) {
-            EpRuntime::ThreadLog tlog;
-            runtime.protectedStore32(
-                t, tlog, data.addrOf(t.globalThreadIdx()), 1u);
-            runtime.commitRegion(t);
-        });
-    });
+    const PersistModel lazy = PersistModel::Lazy;
+    const PersistModel eager = PersistModel::Eager;
+    uint64_t base = nvm_writes(nullptr);
+    uint64_t lp = nvm_writes(&lazy);
+    uint64_t ep = nvm_writes(&eager);
 
     // LP adds a few percent; EP multiplies writes (log + data flushes).
     EXPECT_LT(static_cast<double>(lp), 1.25 * static_cast<double>(base));

@@ -9,6 +9,7 @@
  */
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <utility>
 #include <vector>
@@ -291,6 +292,78 @@ TEST(FaultCampaign, DeterministicForAFixedSeed)
         EXPECT_EQ(ta.corrupt_blocks, tb.corrupt_blocks);
         EXPECT_EQ(ta.flagged_blocks, tb.flagged_blocks);
         EXPECT_EQ(ta.blocks_recovered, tb.blocks_recovered);
+    }
+}
+
+TEST(FaultCampaign, PinnedTrialsUnderEveryModel)
+{
+    // Every TrialResult field of one small campaign, pinned. All five
+    // models share one classifier and one recovery driver and differ
+    // only in their verdict, so any drift those shared paths introduce
+    // into a model's simulated results fails here.
+    CampaignOptions opts;
+    opts.scale = 0.004;
+    opts.seed = 2024;
+    opts.grid_points = 2;
+    opts.random_points = 1;
+    opts.num_workers = 1;
+    opts.workloads = {"tmm"};
+    opts.tables = {TableKind::GlobalArray};
+    opts.models = {PersistModel::Lazy, PersistModel::Eager,
+                   PersistModel::Strict, PersistModel::EpochBlock,
+                   PersistModel::EpochKernel};
+
+    // {crash_point, torn_lines, corrupt, flagged, true_fails,
+    //  false_fails, false_passes, recovered, rounds, crashes_survived,
+    //  validate_cycles, recover_cycles} per trial.
+    using Fields = std::array<uint64_t, 12>;
+    struct Cell {
+        uint64_t golden_stores;
+        Fields trials[3];
+    };
+    const Cell pinned[] = {
+        {4288,
+         {{1428, 44, 64, 64, 64, 0, 0, 64, 2, 0, 178, 24534},
+          {1498, 44, 64, 64, 64, 0, 0, 64, 2, 0, 178, 24534},
+          {2857, 40, 44, 64, 44, 20, 0, 64, 2, 0, 178, 24534}}},
+        {16448,
+         {{5252, 0, 44, 44, 44, 0, 0, 44, 2, 0, 0, 26444},
+          {5482, 1, 43, 43, 43, 0, 0, 43, 2, 0, 0, 26444},
+          {10964, 1, 22, 22, 22, 0, 0, 22, 2, 0, 0, 26444}}},
+        {4160,
+         {{1201, 0, 46, 46, 46, 0, 0, 46, 2, 0, 0, 25764},
+          {1386, 0, 43, 43, 43, 0, 0, 43, 2, 0, 0, 25764},
+          {2772, 0, 22, 22, 22, 0, 0, 22, 2, 0, 0, 25764}}},
+        {4160,
+         {{1386, 0, 43, 43, 43, 0, 0, 43, 2, 0, 0, 25764},
+          {2772, 0, 22, 22, 22, 0, 0, 22, 2, 0, 0, 25764},
+          {3660, 0, 8, 8, 8, 0, 0, 8, 2, 0, 0, 25764}}},
+        {4160,
+         {{1386, 0, 43, 43, 43, 0, 0, 43, 2, 0, 0, 24444},
+          {2772, 0, 22, 22, 22, 0, 0, 22, 2, 0, 0, 24444},
+          {2805, 0, 21, 21, 21, 0, 0, 21, 2, 0, 0, 24444}}},
+    };
+
+    CampaignResult result = runFaultCampaign(opts);
+    ASSERT_EQ(result.cells.size(), std::size(pinned));
+    for (size_t c = 0; c < std::size(pinned); ++c) {
+        const CellResult &cell = result.cells[c];
+        SCOPED_TRACE(toString(cell.model));
+        EXPECT_EQ(cell.model, opts.models[c]);
+        EXPECT_EQ(cell.golden_stores, pinned[c].golden_stores);
+        ASSERT_EQ(cell.trials.size(), std::size(pinned[c].trials));
+        for (size_t i = 0; i < cell.trials.size(); ++i) {
+            const TrialResult &t = cell.trials[i];
+            const Fields got = {
+                t.crash_point,     t.torn_lines,       t.corrupt_blocks,
+                t.flagged_blocks,  t.true_fails,       t.false_fails,
+                t.false_passes,    t.blocks_recovered, t.recovery_rounds,
+                t.crashes_survived, t.validate_cycles, t.recover_cycles};
+            EXPECT_EQ(got, pinned[c].trials[i]) << "trial " << i;
+            EXPECT_TRUE(t.converged);
+            EXPECT_TRUE(t.output_matches_golden);
+            EXPECT_TRUE(t.verify_ok);
+        }
     }
 }
 

@@ -111,7 +111,7 @@ INSTANTIATE_TEST_SUITE_P(CrashPeriods, RepeatedCrashes,
                          ::testing::Values(120ull, 300ull, 700ull,
                                            1500ull));
 
-TEST(EagerRecoveryDriver, AbsorbsCrashArmedDuringRecovery)
+TEST(RecoveryDriverTest, AbsorbsCrashArmedDuringRecovery)
 {
     Device dev;
     NvmParams nvm_params;
@@ -150,18 +150,15 @@ TEST(EagerRecoveryDriver, AbsorbsCrashArmedDuringRecovery)
     // checkpoint and still converge.
     nvm.crashAfterStores(400);
 
-    RecoveryReport report = lpValidateAndRecover(
-        dev, cfg, ctx,
+    RecoveryReport report = persistRecover(
+        dev, cfg, lp,
+        kernel,
         [&](ThreadCtx &t, RecoverySet &failed) {
             ChecksumAccum acc = ctx.makeAccum();
             acc.protectFloat(t, t.load(out, t.globalThreadIdx()));
             bool ok = lpValidateRegion(t, ctx, acc);
             if (t.flatThreadIdx() == 0 && !ok)
                 failed.markFailed(t, t.blockRank());
-        },
-        [&](ThreadCtx &t, const RecoverySet &failed) {
-            if (failed.isFailedHost(t.blockRank()))
-                kernel(t);
         });
 
     EXPECT_TRUE(report.converged);

@@ -231,14 +231,11 @@ TEST(MegaKvTest, CrashRecoveryMakesInsertBatchDurable)
     EXPECT_TRUE(r.crashed);
     nvm.crash();
 
-    lpValidateAndRecover(
-        dev, kv.launchConfig(), ctx,
+    persistRecover(
+        dev, kv.launchConfig(), lp,
+        [&](ThreadCtx &t) { kv.insertKernel(t, &ctx); },
         [&](ThreadCtx &t, RecoverySet &failed) {
             kv.validateInserts(t, ctx, failed);
-        },
-        [&](ThreadCtx &t, const RecoverySet &failed) {
-            if (failed.isFailedHost(t.blockRank()))
-                kv.insertKernel(t, &ctx);
         });
 
     nvm.crash(); // recovery persisted everything

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/persist.h"
+#include "core/runtime.h"
 
 namespace gpulp {
 namespace {
@@ -62,19 +63,36 @@ strategyFor(Device &dev, PersistModel m, const LaunchConfig &cfg)
     return makePersistStrategy(dev, lpc, cfg, /*undo_entries=*/2);
 }
 
-TEST(PersistStrategyTest, EveryModelIsAStrategy)
+TEST(PersistRuntimeTest, LazyModelWrapsLpRuntime)
 {
-    for (PersistModel m : kAllModels) {
+    Device dev;
+    LaunchConfig cfg(Dim3(2), Dim3(4));
+    std::unique_ptr<PersistStrategy> s =
+        strategyFor(dev, PersistModel::Lazy, cfg);
+    EXPECT_EQ(s->model(), PersistModel::Lazy);
+    auto *lazy = dynamic_cast<LpRuntime *>(s.get());
+    ASSERT_NE(lazy, nullptr);
+    LpContext ctx = s->context();
+    EXPECT_EQ(ctx.strategy, s.get());
+    EXPECT_EQ(ctx.cfg->persist, PersistModel::Lazy);
+    EXPECT_EQ(ctx.store, &lazy->store());
+    EXPECT_GT(s->footprintBytes(), 0u);
+}
+
+TEST(PersistRuntimeTest, NonLazyModelsExposeAStrategy)
+{
+    for (PersistModel m : kFlagModels) {
         Device dev;
         LaunchConfig cfg(Dim3(2), Dim3(4));
         std::unique_ptr<PersistStrategy> s = strategyFor(dev, m, cfg);
         EXPECT_EQ(s->model(), m);
+        EXPECT_EQ(dynamic_cast<LpRuntime *>(s.get()), nullptr)
+            << toString(m);
         LpContext ctx = s->context();
         EXPECT_EQ(ctx.strategy, s.get()) << toString(m);
         EXPECT_EQ(ctx.cfg->persist, m);
         // Only lazy carries a checksum store.
-        EXPECT_EQ(ctx.store != nullptr, m == PersistModel::Lazy)
-            << toString(m);
+        EXPECT_EQ(ctx.store, nullptr) << toString(m);
         EXPECT_GT(s->footprintBytes(), 0u) << toString(m);
     }
 }

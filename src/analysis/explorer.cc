@@ -1,19 +1,13 @@
 #include "explorer.h"
 
 #include <algorithm>
-#include <cstring>
 #include <deque>
 #include <map>
 
 #include "common/logging.h"
 #include "common/prng.h"
-#include "core/recovery.h"
-#include "core/runtime.h"
-#include "harness/faultcampaign.h"
-#include "nvm/nvm_cache.h"
+#include "harness/crashtrial.h"
 #include "obs/trace.h"
-#include "sim/device.h"
-#include "workloads/workload.h"
 
 namespace gpulp {
 
@@ -248,16 +242,6 @@ exploreSchedules(Device &dev, const ExploreOptions &opts,
 
 namespace {
 
-/** Rewind device + NVM to the durable pre-kernel snapshot. */
-void
-rewind(Device &dev, NvmCache &nvm, const std::vector<char> &pristine)
-{
-    std::memcpy(dev.mem().raw(0), pristine.data(), pristine.size());
-    nvm.invalidateAll();
-    nvm.persistAll();
-    nvm.resetStats();
-}
-
 ExplorerCellResult
 runExplorerCell(const ExplorerOptions &opts, const std::string &name,
                 PolicyKind kind, uint32_t *workers_out)
@@ -266,44 +250,20 @@ runExplorerCell(const ExplorerOptions &opts, const std::string &name,
     cell.workload = name;
     cell.policy = kind;
 
-    DeviceParams dparams;
+    TrialCell spec;
+    spec.workload = name;
+    spec.scale = opts.scale;
     // DPOR replay requires the single-worker engine (the rank gate
     // never parks there, so a block's decision sequence is a pure
     // function of its forced prefix).
-    dparams.num_workers =
-        kind == PolicyKind::DporLite ? 1 : opts.num_workers;
-    Device dev(dparams);
-    NvmParams nparams;
-    nparams.cache_bytes = opts.nvm_cache_bytes;
-    NvmCache nvm(dev.mem(), nparams);
-    std::unique_ptr<PersistLog> log = persistLogFromEnv(/*truncate=*/true);
-    if (log)
-        nvm.attachPersistLog(log.get());
-    dev.attachNvm(&nvm);
+    spec.num_workers = kind == PolicyKind::DporLite ? 1 : opts.num_workers;
+    spec.nvm_cache_bytes = opts.nvm_cache_bytes;
+    spec.table = opts.table;
+    spec.checksum = opts.checksum;
+    CrashTrial trial(spec, persistLogFromEnv(/*truncate=*/true));
+    Device &dev = trial.device();
     if (workers_out && kind != PolicyKind::DporLite)
         *workers_out = dev.resolveWorkers();
-
-    auto w = makeWorkload(name, opts.scale);
-    w->setup(dev);
-    if (w->outputSpans().empty()) {
-        GPULP_FATAL("workload '%s' exposes no output spans; it cannot "
-                    "join schedule exploration",
-                    name.c_str());
-    }
-
-    const LaunchConfig launch = w->launchConfig();
-    const uint64_t num_blocks = launch.numBlocks();
-    LpRuntime lp(dev, campaignCellConfig(*w, opts.table, opts.checksum),
-                 launch);
-    LpContext ctx = lp.context();
-
-    std::vector<std::vector<OutputSpan>> block_spans(num_blocks);
-    for (uint64_t b = 0; b < num_blocks; ++b)
-        block_spans[b] = w->blockOutputSpans(b);
-
-    nvm.persistAll();
-    std::vector<char> pristine(dev.mem().used());
-    std::memcpy(pristine.data(), dev.mem().raw(0), pristine.size());
 
     // Golden baseline: the deterministic schedule, recorded. Its
     // output bytes are the reference every explored schedule must
@@ -314,18 +274,8 @@ runExplorerCell(const ExplorerOptions &opts, const std::string &name,
     dev.setSchedulePolicyFactory([&base](uint64_t rank) {
         return std::make_unique<DeterministicPolicy>(rank, &base);
     });
-    rewind(dev, nvm, pristine);
-    LaunchResult gold =
-        dev.launch(launch, [&](ThreadCtx &t) { w->kernel(t, &ctx); });
+    const uint64_t golden_stores = trial.runGolden();
     dev.setSchedulePolicyFactory(SchedulePolicyFactory{});
-    GPULP_ASSERT(!gold.crashed, "golden run crashed");
-    const uint64_t golden_stores = nvm.stats().stores_observed;
-    std::string why;
-    GPULP_ASSERT(w->verify(&why), "golden run of '%s' is wrong: %s",
-                 name.c_str(), why.c_str());
-    std::vector<std::vector<uint8_t>> golden_blocks(num_blocks);
-    for (uint64_t b = 0; b < num_blocks; ++b)
-        golden_blocks[b] = readOutputSpans(dev.mem(), block_spans[b]);
     std::set<uint64_t> baseline_locs;
     for (const BlockTrace &bt : base.sortedBlocks()) {
         for (const RaceRecord &r : bt.races)
@@ -352,25 +302,19 @@ runExplorerCell(const ExplorerOptions &opts, const std::string &name,
         [&](uint32_t run_index, const TraceCollector &trace,
             std::vector<std::string> &violations) {
             // Clean run under the explored schedule.
-            rewind(dev, nvm, pristine);
-            LaunchResult r = dev.launch(
-                launch, [&](ThreadCtx &t) { w->kernel(t, &ctx); });
-            if (r.crashed)
+            trial.rewind();
+            if (trial.runKernel().crashed)
                 violations.push_back("clean run crashed without an "
                                      "injected crash");
             std::string vwhy;
-            if (!w->verify(&vwhy))
+            if (!trial.workload().verify(&vwhy))
                 violations.push_back("host verification failed: " + vwhy);
-            for (uint64_t b = 0; b < num_blocks; ++b) {
-                if (readOutputSpans(dev.mem(), block_spans[b]) !=
-                    golden_blocks[b]) {
-                    violations.push_back(
-                        "block " + std::to_string(b) +
-                        " output diverged from the deterministic golden "
-                        "bytes");
-                    break;
-                }
-            }
+            const uint64_t diverged = trial.firstDivergedBlock();
+            if (diverged < trial.numBlocks())
+                violations.push_back(
+                    "block " + std::to_string(diverged) +
+                    " output diverged from the deterministic golden "
+                    "bytes");
             // Novel races: a location the deterministic baseline never
             // flagged racing under this interleaving.
             for (const BlockTrace &bt : trace.sortedBlocks()) {
@@ -396,49 +340,33 @@ runExplorerCell(const ExplorerOptions &opts, const std::string &name,
                 }
             }
 
-            // Crash sweep under this same schedule: the PR-2 protocol
-            // invariants must hold at every cut of every explored
-            // interleaving.
-            if (run_index >= opts.crash_schedules || crash_points.empty())
+            // Crash sweep under this same schedule: the campaign's
+            // trial, with its invariants quantified over every cut of
+            // every explored interleaving.
+            if (run_index >= opts.crash_schedules)
                 return;
             for (uint64_t point : crash_points) {
-                rewind(dev, nvm, pristine);
-                nvm.crashAfterStores(point);
-                dev.launch(launch,
-                           [&](ThreadCtx &t) { w->kernel(t, &ctx); });
-                nvm.crash();
-                BlockClassification cls = classifyCrash(
-                    dev, launch, *w, ctx, block_spans, golden_blocks);
+                const TrialResult t = trial.crashAt(point);
                 ++cell.crash_trials;
-                if (cls.false_passes != 0) {
-                    cell.false_passes += cls.false_passes;
+                const std::string at =
+                    "crash point " + std::to_string(point) + ": ";
+                if (t.false_passes != 0) {
+                    cell.false_passes += t.false_passes;
                     violations.push_back(
-                        "crash point " + std::to_string(point) + ": " +
-                        std::to_string(cls.false_passes) +
+                        at + std::to_string(t.false_passes) +
                         " false-pass block(s) — silent corruption");
                 }
-                RecoveryReport rep = persistRecover(
-                    dev, launch, lp,
-                    [&](ThreadCtx &t) { w->kernel(t, &ctx); },
-                    [&](ThreadCtx &t, RecoverySet &failed) {
-                        w->validation(t, ctx, failed);
-                    });
-                if (!rep.converged) {
+                if (!t.converged) {
                     ++cell.unconverged;
+                    violations.push_back(at +
+                                         "recovery did not converge");
+                }
+                if (!t.output_matches_golden)
                     violations.push_back(
-                        "crash point " + std::to_string(point) +
-                        ": recovery did not converge");
-                }
-                nvm.crash();
-                for (uint64_t b = 0; b < num_blocks; ++b) {
-                    if (readOutputSpans(dev.mem(), block_spans[b]) !=
-                        golden_blocks[b]) {
-                        violations.push_back(
-                            "crash point " + std::to_string(point) +
-                            ": durable output diverged after recovery");
-                        break;
-                    }
-                }
+                        at + "durable output diverged after recovery");
+                if (!t.verify_ok)
+                    violations.push_back(
+                        at + "host verification failed after recovery");
             }
         });
 

@@ -21,10 +21,13 @@
  *    to golden (the sweep's workloads only synchronize through
  *    commutative integer atomics, collectives and the rank gate, so
  *    any divergence is an ordering bug), and (c) no *novel* race
- *    appears beyond the deterministic baseline. Optionally each cell
- *    also sweeps crash-at-store points under explored schedules and
- *    asserts the PR-2 checksum-protocol invariants: zero false-passes
- *    and recovery convergence to the golden bytes.
+ *    appears beyond the deterministic baseline. The cell's rig and
+ *    golden run come from the crash-trial engine
+ *    (harness/crashtrial.h). Optionally each cell also runs that
+ *    engine's crash trials under explored schedules — the fault
+ *    campaign's trial, crossed with the schedule — and asserts its
+ *    invariants: zero false-passes, recovery convergence to the golden
+ *    durable bytes, and host verification of the recovered output.
  *
  * Determinism: a fixed (options, workers) pair explores a fixed
  * schedule set. DPOR-lite cells force workers=1 — at a single worker

@@ -3,21 +3,16 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "common/prng.h"
-#include "core/recovery.h"
-#include "core/runtime.h"
-#include "harness/faultcampaign.h"
-#include "nvm/nvm_cache.h"
-#include "nvm/persist_log.h"
-#include "sim/device.h"
-#include "workloads/workload.h"
 
 namespace gpulp {
 
@@ -40,207 +35,73 @@ harnessSeed(uint64_t seed, const std::string &workload, bool file_device)
     return h;
 }
 
-/**
- * The simulator stack a victim and its recovery process must rebuild
- * *identically*: same DeviceParams, same setup order, same LpRuntime
- * allocations — the log replays by raw arena address, so any layout
- * drift between processes is fatal (and restoreFromLog() checks it).
- */
-struct HarnessRig {
-    std::unique_ptr<Device> dev;
-    std::unique_ptr<NvmCache> nvm;
-    std::unique_ptr<Workload> w;
-    std::unique_ptr<LpRuntime> lp;
-    LpContext ctx{};
-    LaunchConfig launch{};
-};
-
-HarnessRig
-buildRig(const CrashHarnessOptions &opts)
+/** The lazy cell every process of one harness run builds. */
+TrialCell
+trialCell(const CrashHarnessOptions &opts)
 {
-    HarnessRig rig;
-    DeviceParams dparams;
-    dparams.num_workers = opts.num_workers;
-    rig.dev = std::make_unique<Device>(dparams);
-    NvmParams nparams;
-    nparams.cache_bytes = opts.nvm_cache_bytes;
-    rig.nvm = std::make_unique<NvmCache>(rig.dev->mem(), nparams);
-    rig.dev->attachNvm(rig.nvm.get());
-
-    rig.w = makeWorkload(opts.workload, opts.scale);
-    rig.w->setup(*rig.dev);
-    if (rig.w->outputSpans().empty()) {
-        GPULP_FATAL("workload '%s' exposes no output spans; it cannot "
-                    "join the crash harness",
-                    opts.workload.c_str());
-    }
-    rig.launch = rig.w->launchConfig();
-    rig.lp = std::make_unique<LpRuntime>(
-        *rig.dev, campaignCellConfig(*rig.w, opts.table, opts.checksum),
-        rig.launch);
-    rig.ctx = rig.lp->context();
-    return rig;
+    TrialCell cell;
+    cell.workload = opts.workload;
+    cell.scale = opts.scale;
+    cell.num_workers = opts.num_workers;
+    cell.nvm_cache_bytes = opts.nvm_cache_bytes;
+    cell.table = opts.table;
+    cell.checksum = opts.checksum;
+    return cell;
 }
 
-std::vector<std::vector<OutputSpan>>
-collectBlockSpans(const Workload &w, uint64_t num_blocks)
+/** The victim's (@p truncate) or the recovery process's log, or
+ *  nullptr on the in-memory device; a child exits if it cannot open. */
+std::unique_ptr<PersistLog>
+openLog(const CrashHarnessOptions &opts, bool truncate)
 {
-    std::vector<std::vector<OutputSpan>> spans(num_blocks);
-    for (uint64_t b = 0; b < num_blocks; ++b) {
-        spans[b] = w.blockOutputSpans(b);
-        GPULP_ASSERT(!spans[b].empty(), "no spans for block %llu",
-                     static_cast<unsigned long long>(b));
-    }
-    return spans;
-}
-
-// Golden image hand-off ----------------------------------------------------
-//
-// The launching process computes the golden run once and serializes the
-// per-block output bytes; every recovery child deserializes them. A
-// byte-identical recovered output therefore also certifies that the
-// simulator is deterministic *across* processes, not just within one.
-
-bool
-writeGoldenFile(const std::string &path, uint64_t golden_stores,
-                const std::vector<std::vector<uint8_t>> &blocks)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        return false;
-    uint64_t n = blocks.size();
-    bool ok = std::fwrite(&golden_stores, sizeof(golden_stores), 1, f) == 1 &&
-              std::fwrite(&n, sizeof(n), 1, f) == 1;
-    for (uint64_t b = 0; ok && b < n; ++b) {
-        uint64_t sz = blocks[b].size();
-        ok = std::fwrite(&sz, sizeof(sz), 1, f) == 1 &&
-             (sz == 0 || std::fwrite(blocks[b].data(), 1, sz, f) == sz);
-    }
-    return std::fclose(f) == 0 && ok;
+    if (!opts.file_device)
+        return nullptr;
+    PersistLogParams lp;
+    lp.batch_bytes = opts.log_batch_bytes;
+    std::unique_ptr<PersistLog> log =
+        PersistLog::open(opts.log_path, lp, truncate);
+    if (!log)
+        std::_Exit(kExitChildFailed);
+    return log;
 }
 
 bool
-readGoldenFile(const std::string &path, uint64_t *golden_stores,
-               std::vector<std::vector<uint8_t>> *blocks)
+readWord(std::FILE *f, uint64_t *v)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return false;
-    uint64_t n = 0;
-    bool ok = std::fread(golden_stores, sizeof(*golden_stores), 1, f) == 1 &&
-              std::fread(&n, sizeof(n), 1, f) == 1;
-    if (ok) {
-        blocks->assign(n, {});
-        for (uint64_t b = 0; ok && b < n; ++b) {
-            uint64_t sz = 0;
-            ok = std::fread(&sz, sizeof(sz), 1, f) == 1;
-            if (ok) {
-                (*blocks)[b].resize(sz);
-                ok = sz == 0 ||
-                     std::fread((*blocks)[b].data(), 1, sz, f) == sz;
-            }
-        }
-    }
-    std::fclose(f);
-    return ok;
+    return std::fread(v, sizeof(*v), 1, f) == 1;
 }
 
-// Trial result hand-off -----------------------------------------------------
-//
-// The recovery child reports through a flat text line; the parent owns
-// crash_point and killed_by_sigkill, the child everything else.
-
-bool
-writeTrialFile(const std::string &path, const CrashTrialResult &t)
+/** Every record word of @p t in file order: the shared trial fields,
+ *  then the log forensics. */
+template <typename Trial, typename Fn>
+void
+forEachRecordWord(Trial &t, Fn &&fn)
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        return false;
-    std::fprintf(f,
-                 "%llu %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu "
-                 "%d %d %d\n",
-                 static_cast<unsigned long long>(t.log_bytes_at_death),
-                 static_cast<unsigned long long>(t.entries_replayed),
-                 static_cast<unsigned long long>(t.torn_tail_bytes),
-                 static_cast<unsigned long long>(t.crc_rejected),
-                 static_cast<unsigned long long>(t.corrupt_blocks),
-                 static_cast<unsigned long long>(t.flagged_blocks),
-                 static_cast<unsigned long long>(t.true_fails),
-                 static_cast<unsigned long long>(t.false_fails),
-                 static_cast<unsigned long long>(t.false_passes),
-                 static_cast<unsigned long long>(t.blocks_recovered),
-                 static_cast<unsigned long long>(t.recovery_rounds),
-                 t.converged ? 1 : 0, t.output_matches_golden ? 1 : 0,
-                 t.verify_ok ? 1 : 0);
-    return std::fclose(f) == 0;
-}
-
-bool
-readTrialFile(const std::string &path, CrashTrialResult *t)
-{
-    std::FILE *f = std::fopen(path.c_str(), "r");
-    if (!f)
-        return false;
-    unsigned long long v[11] = {};
-    int b[3] = {};
-    bool ok = std::fscanf(f,
-                          "%llu %llu %llu %llu %llu %llu %llu %llu %llu "
-                          "%llu %llu %d %d %d",
-                          &v[0], &v[1], &v[2], &v[3], &v[4], &v[5], &v[6],
-                          &v[7], &v[8], &v[9], &v[10], &b[0], &b[1],
-                          &b[2]) == 14;
-    std::fclose(f);
-    if (!ok)
-        return false;
-    t->log_bytes_at_death = v[0];
-    t->entries_replayed = v[1];
-    t->torn_tail_bytes = v[2];
-    t->crc_rejected = v[3];
-    t->corrupt_blocks = v[4];
-    t->flagged_blocks = v[5];
-    t->true_fails = v[6];
-    t->false_fails = v[7];
-    t->false_passes = v[8];
-    t->blocks_recovered = v[9];
-    t->recovery_rounds = v[10];
-    t->converged = b[0] != 0;
-    t->output_matches_golden = b[1] != 0;
-    t->verify_ok = b[2] != 0;
-    return true;
+    forEachTrialField(t, [&](const char *, auto &field) { fn(field); });
+    fn(t.log_bytes_at_death);
+    fn(t.entries_replayed);
+    fn(t.torn_tail_bytes);
+    fn(t.crc_rejected);
 }
 
 /**
- * The process that dies. Runs the LP kernel with the crash countdown
- * armed and the latch action pointed at raise(SIGKILL): the (point+1)-th
- * observed store kills the process mid-instruction. Anything still in
- * the persist log's batch buffer is lost with it — that unflushed
- * window is exactly the loss a real device write queue would suffer.
+ * The process that dies. Builds the rig against a fresh log — the
+ * rig's pristine persistAll() seeds it with the whole pre-kernel image,
+ * so recovery can rebuild even regions the kernel never dirtied — and
+ * runs the kernel with the crash countdown armed and the latch action
+ * pointed at raise(SIGKILL): the (point+1)-th observed store kills the
+ * process mid-instruction. Anything still in the persist log's batch
+ * buffer is lost with it — that unflushed window is exactly the loss a
+ * real device write queue would suffer.
  */
 [[noreturn]] void
 runVictimProcess(const CrashHarnessOptions &opts, uint64_t point)
 {
-    HarnessRig rig = buildRig(opts);
-    std::unique_ptr<PersistLog> log;
-    if (opts.file_device) {
-        PersistLogParams lp;
-        lp.batch_bytes = opts.log_batch_bytes;
-        log = PersistLog::open(opts.log_path, lp, /*truncate=*/true);
-        if (!log)
-            std::_Exit(kExitChildFailed);
-        rig.nvm->attachPersistLog(log.get());
-    }
-
-    // Durable pre-kernel baseline: inputs initialized, checksum store
-    // cleared. With a log attached this seeds the file with the full
-    // nonzero image, so the recovery process can rebuild even regions
-    // the kernel never dirtied.
-    rig.nvm->persistAll();
-    rig.nvm->resetStats();
-
-    rig.nvm->setCrashLatchAction([] { ::raise(SIGKILL); });
-    rig.nvm->crashAfterStores(point);
-    rig.dev->launch(rig.launch,
-                    [&](ThreadCtx &t) { rig.w->kernel(t, &rig.ctx); });
+    CrashTrial rig(trialCell(opts), openLog(opts, /*truncate=*/true));
+    rig.nvm().resetStats();
+    rig.nvm().setCrashLatchAction([] { ::raise(SIGKILL); });
+    rig.nvm().crashAfterStores(point);
+    rig.runKernel();
 
     // pickCrashPoints keeps every point at least two stores short of
     // the total, so reaching here means the countdown never ran out —
@@ -249,10 +110,12 @@ runVictimProcess(const CrashHarnessOptions &opts, uint64_t point)
 }
 
 /**
- * The fresh process that comes back from the dead. Reopens the log the
- * victim left behind (torn tail and all), rebuilds the NVM image,
- * classifies the damage against the golden bytes and drives
- * persistRecover() to convergence.
+ * The fresh process that comes back from the dead. Builds the rig with
+ * no log, so its durable image is the re-initialized set-up state: all
+ * the in-memory device has left after the kill. On the file device it
+ * then replays the log the victim left behind (torn tail and all) over
+ * that image. The engine's trial tail judges the result against the
+ * golden bytes.
  */
 [[noreturn]] void
 runRecoveryProcess(const CrashHarnessOptions &opts, uint64_t point,
@@ -262,73 +125,27 @@ runRecoveryProcess(const CrashHarnessOptions &opts, uint64_t point,
     CrashTrialResult trial;
     trial.crash_point = point;
 
-    HarnessRig rig = buildRig(opts);
-    std::unique_ptr<PersistLog> log;
-    if (opts.file_device) {
-        PersistLogParams lp;
-        lp.batch_bytes = opts.log_batch_bytes;
-        log = PersistLog::open(opts.log_path, lp, /*truncate=*/false);
-        if (!log)
-            std::_Exit(kExitChildFailed);
+    CrashTrial rig(trialCell(opts));
+    std::unique_ptr<PersistLog> log = openLog(opts, /*truncate=*/false);
+    if (log) {
         const PersistLogStats &ls = log->stats();
         trial.log_bytes_at_death = log->fileBytes() + ls.torn_tail_bytes;
         trial.entries_replayed = ls.entries_replayed;
         trial.torn_tail_bytes = ls.torn_tail_bytes;
         trial.crc_rejected = ls.crc_rejected;
-        rig.nvm->attachPersistLog(log.get());
-        rig.nvm->restoreFromLog();
+        rig.nvm().attachPersistLog(log.get());
+        rig.nvm().restoreFromLog();
     }
-    // File device: arena now holds what the dead process persisted.
-    // In-memory device: the kill annihilated the NVM image, so the
-    // fresh setup state stands in for re-initialized inputs and
-    // recovery must re-execute the whole grid. Either way this is the
-    // durable image validation starts from.
-    rig.nvm->persistAll();
 
-    uint64_t golden_stores = 0;
-    std::vector<std::vector<uint8_t>> golden_blocks;
-    if (!readGoldenFile(golden_path, &golden_stores, &golden_blocks) ||
-        golden_blocks.size() != rig.launch.numBlocks()) {
+    std::vector<std::vector<uint8_t>> golden;
+    if (!readGoldenFile(golden_path, rig.blockBytes(), &golden))
         std::_Exit(kExitChildFailed);
-    }
-    const uint64_t num_blocks = rig.launch.numBlocks();
-    std::vector<std::vector<OutputSpan>> block_spans =
-        collectBlockSpans(*rig.w, num_blocks);
-
-    BlockClassification cls = classifyCrash(
-        *rig.dev, rig.launch, *rig.w, rig.ctx, block_spans, golden_blocks);
-    trial.corrupt_blocks = cls.corrupt_blocks;
-    trial.flagged_blocks = cls.flagged_blocks;
-    trial.true_fails = cls.true_fails;
-    trial.false_fails = cls.false_fails;
-    trial.false_passes = cls.false_passes;
-
-    RecoveryReport rep = persistRecover(
-        *rig.dev, rig.launch, *rig.lp,
-        [&](ThreadCtx &t) { rig.w->kernel(t, &rig.ctx); },
-        [&](ThreadCtx &t, RecoverySet &failed) {
-            rig.w->validation(t, rig.ctx, failed);
-        });
-    trial.blocks_recovered = rep.blocks_recovered;
-    trial.recovery_rounds = rep.rounds;
-    trial.converged = rep.converged;
-
-    // The recovered result must be durable: crash the model once more
-    // and compare what NVM holds against the golden bytes.
-    rig.nvm->crash();
-    trial.output_matches_golden = true;
-    for (uint64_t b = 0; b < num_blocks; ++b) {
-        if (readOutputSpans(rig.dev->mem(), block_spans[b]) !=
-            golden_blocks[b]) {
-            trial.output_matches_golden = false;
-            break;
-        }
-    }
-    trial.verify_ok = rig.w->verify();
+    rig.adoptGolden(std::move(golden));
+    rig.finish(trial);
 
     if (!writeTrialFile(result_path, trial))
         std::_Exit(kExitChildFailed);
-    std::_Exit(trial.passed() ? 0 : 1);
+    std::_Exit(0);
 }
 
 void
@@ -343,20 +160,113 @@ removeIfExists(const std::string &path)
 bool
 CrashTrialResult::passed() const
 {
-    return killed_by_sigkill && false_passes == 0 && converged &&
-           output_matches_golden && verify_ok;
+    return killed_by_sigkill && TrialResult::passed();
 }
 
 bool
 CrashHarnessResult::passed() const
 {
-    if (trials.empty())
+    return !trials.empty() &&
+           std::all_of(trials.begin(), trials.end(),
+                       [](const CrashTrialResult &t) { return t.passed(); });
+}
+
+// Golden image hand-off -----------------------------------------------------
+//
+// The launching process computes the golden run once and serializes the
+// per-block output bytes: the block count, then each block's size and
+// bytes. A byte-identical recovered output therefore also certifies that
+// the simulator is deterministic *across* processes, not just within one.
+
+bool
+writeGoldenFile(const std::string &path,
+                const std::vector<std::vector<uint8_t>> &blocks)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    if (!f)
         return false;
-    for (const CrashTrialResult &t : trials) {
-        if (!t.passed())
-            return false;
+    uint64_t n = blocks.size();
+    bool ok = std::fwrite(&n, sizeof(n), 1, f) == 1;
+    for (uint64_t b = 0; ok && b < n; ++b) {
+        uint64_t sz = blocks[b].size();
+        ok = std::fwrite(&sz, sizeof(sz), 1, f) == 1 &&
+             (sz == 0 || std::fwrite(blocks[b].data(), 1, sz, f) == sz);
     }
-    return true;
+    return std::fclose(f) == 0 && ok;
+}
+
+bool
+readGoldenFile(const std::string &path,
+               const std::vector<size_t> &block_bytes,
+               std::vector<std::vector<uint8_t>> *blocks)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return false;
+    std::vector<std::vector<uint8_t>> read(block_bytes.size());
+    uint64_t n = 0;
+    bool ok = readWord(f, &n) && n == block_bytes.size();
+    for (uint64_t b = 0; ok && b < n; ++b) {
+        uint64_t sz = 0;
+        ok = readWord(f, &sz) && sz == block_bytes[b];
+        if (ok) {
+            read[b].resize(sz);
+            ok = sz == 0 || std::fread(read[b].data(), 1, sz, f) == sz;
+        }
+    }
+    ok = ok && std::fgetc(f) == EOF;
+    std::fclose(f);
+    if (ok)
+        *blocks = std::move(read);
+    return ok;
+}
+
+// Trial result hand-off -----------------------------------------------------
+//
+// The recovery child reports through one record of 64-bit words, each
+// flag a 0/1 word; the parent owns killed_by_sigkill.
+
+bool
+writeTrialFile(const std::string &path, const CrashTrialResult &trial)
+{
+    std::vector<uint64_t> words;
+    forEachRecordWord(trial, [&](auto v) { words.push_back(v); });
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    if (!f)
+        return false;
+    bool ok = std::fwrite(words.data(), sizeof(uint64_t), words.size(), f) ==
+              words.size();
+    return std::fclose(f) == 0 && ok;
+}
+
+bool
+readTrialFile(const std::string &path, CrashTrialResult *trial)
+{
+    size_t n = 0;
+    forEachRecordWord(*trial, [&](const auto &) { ++n; });
+    std::vector<uint64_t> words(n);
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return false;
+    bool ok = std::fread(words.data(), sizeof(uint64_t), n, f) == n &&
+              std::fgetc(f) == EOF;
+    std::fclose(f);
+
+    CrashTrialResult read;
+    read.killed_by_sigkill = trial->killed_by_sigkill;
+    size_t i = 0;
+    forEachRecordWord(read, [&](auto &field) {
+        const uint64_t w = words[i++];
+        if constexpr (std::is_same_v<std::decay_t<decltype(field)>, bool>) {
+            ok = ok && w <= 1;
+            field = w == 1;
+        } else {
+            field = w;
+        }
+    });
+    if (ok)
+        *trial = read;
+    return ok;
 }
 
 CrashHarnessResult
@@ -384,7 +294,7 @@ runCrashHarness(const CrashHarnessOptions &opts_in)
     if (opts.file_device && opts.log_path.empty())
         opts.log_path = opts.work_dir + "/persist.log";
     const std::string golden_path = opts.work_dir + "/golden.bin";
-    const std::string result_path = opts.work_dir + "/trial.txt";
+    const std::string result_path = opts.work_dir + "/trial.bin";
 
     CrashHarnessResult result;
     result.options = opts;
@@ -393,29 +303,11 @@ runCrashHarness(const CrashHarnessOptions &opts_in)
     // threads are joined before the first fork() — forking with live
     // simulator threads would duplicate a half-locked ThreadPool.
     {
-        HarnessRig rig = buildRig(opts);
-        result.num_blocks = rig.launch.numBlocks();
-        rig.nvm->persistAll();
-        rig.nvm->resetStats();
-        LaunchResult gold = rig.dev->launch(
-            rig.launch, [&](ThreadCtx &t) { rig.w->kernel(t, &rig.ctx); });
-        GPULP_ASSERT(!gold.crashed, "golden run crashed");
-        result.golden_stores = rig.nvm->stats().stores_observed;
-        rig.nvm->persistAll();
-        std::string why;
-        GPULP_ASSERT(rig.w->verify(&why), "golden run of '%s' is wrong: %s",
-                     opts.workload.c_str(), why.c_str());
-
-        std::vector<std::vector<OutputSpan>> block_spans =
-            collectBlockSpans(*rig.w, result.num_blocks);
-        std::vector<std::vector<uint8_t>> golden_blocks(result.num_blocks);
-        for (uint64_t b = 0; b < result.num_blocks; ++b)
-            golden_blocks[b] =
-                readOutputSpans(rig.dev->mem(), block_spans[b]);
-        GPULP_ASSERT(
-            writeGoldenFile(golden_path, result.golden_stores,
-                            golden_blocks),
-            "cannot write golden image %s", golden_path.c_str());
+        CrashTrial rig(trialCell(opts));
+        result.num_blocks = rig.numBlocks();
+        result.golden_stores = rig.runGolden();
+        GPULP_ASSERT(writeGoldenFile(golden_path, rig.golden()),
+                     "cannot write golden image %s", golden_path.c_str());
     }
 
     Prng rng(harnessSeed(opts.seed, opts.workload, opts.file_device));
@@ -445,14 +337,11 @@ runCrashHarness(const CrashHarnessOptions &opts_in)
             GPULP_ASSERT(::waitpid(rec, &status, 0) == rec,
                          "waitpid(recovery) failed: %s",
                          std::strerror(errno));
-            bool exited_clean = WIFEXITED(status) &&
-                                (WEXITSTATUS(status) == 0 ||
-                                 WEXITSTATUS(status) == 1);
-            if (exited_clean && !readTrialFile(result_path, &trial))
-                exited_clean = false;
-            // A recovery child that aborted or vanished leaves the
-            // trial's recovery fields all-false, which fails it.
-            (void)exited_clean;
+            // A recovery child that failed, aborted or left an
+            // unreadable record leaves the trial's recovery fields
+            // all-false, which fails it.
+            if (WIFEXITED(status) && WEXITSTATUS(status) == 0)
+                readTrialFile(result_path, &trial);
         }
         result.trials.push_back(trial);
     }
@@ -494,33 +383,18 @@ writeCrashHarnessJson(const CrashHarnessResult &result, std::FILE *out)
     std::fprintf(out, "      \"trials\": [\n");
     for (size_t i = 0; i < result.trials.size(); ++i) {
         const CrashTrialResult &t = result.trials[i];
-        std::fprintf(
-            out,
-            "        {\"crash_point\": %llu, \"sigkilled\": %s, "
-            "\"log_bytes_at_death\": %llu, \"entries_replayed\": %llu, "
-            "\"torn_tail_bytes\": %llu, \"crc_rejected\": %llu, "
-            "\"corrupt_blocks\": %llu, \"flagged_blocks\": %llu, "
-            "\"true_fails\": %llu, \"false_fails\": %llu, "
-            "\"false_passes\": %llu, \"blocks_recovered\": %llu, "
-            "\"rounds\": %llu, \"converged\": %s, \"durable_match\": %s, "
-            "\"verify_ok\": %s}%s\n",
-            static_cast<unsigned long long>(t.crash_point),
-            t.killed_by_sigkill ? "true" : "false",
-            static_cast<unsigned long long>(t.log_bytes_at_death),
-            static_cast<unsigned long long>(t.entries_replayed),
-            static_cast<unsigned long long>(t.torn_tail_bytes),
-            static_cast<unsigned long long>(t.crc_rejected),
-            static_cast<unsigned long long>(t.corrupt_blocks),
-            static_cast<unsigned long long>(t.flagged_blocks),
-            static_cast<unsigned long long>(t.true_fails),
-            static_cast<unsigned long long>(t.false_fails),
-            static_cast<unsigned long long>(t.false_passes),
-            static_cast<unsigned long long>(t.blocks_recovered),
-            static_cast<unsigned long long>(t.recovery_rounds),
-            t.converged ? "true" : "false",
-            t.output_matches_golden ? "true" : "false",
-            t.verify_ok ? "true" : "false",
-            i + 1 < result.trials.size() ? "," : "");
+        std::fprintf(out, "        {");
+        writeTrialJsonFields(t, out);
+        std::fprintf(out,
+                     ", \"sigkilled\": %s, \"log_bytes_at_death\": %llu, "
+                     "\"entries_replayed\": %llu, "
+                     "\"torn_tail_bytes\": %llu, \"crc_rejected\": %llu}%s\n",
+                     t.killed_by_sigkill ? "true" : "false",
+                     static_cast<unsigned long long>(t.log_bytes_at_death),
+                     static_cast<unsigned long long>(t.entries_replayed),
+                     static_cast<unsigned long long>(t.torn_tail_bytes),
+                     static_cast<unsigned long long>(t.crc_rejected),
+                     i + 1 < result.trials.size() ? "," : "");
     }
     std::fprintf(out, "      ]\n");
     std::fprintf(out, "    }");

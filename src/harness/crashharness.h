@@ -4,21 +4,20 @@
  *
  * The fault campaign (faultcampaign.h) injects *simulated* crashes: a
  * latch freezes the in-process NVM model. This harness makes the
- * paper's recovery claim survive the real thing. Per crash point it:
+ * paper's recovery claim survive the real thing. It runs the same
+ * crash trial (crashtrial.h) but arms the crash in another process.
+ * Per crash point it:
  *
- *  1. forks a victim process that runs the LP-instrumented workload
- *     against a file-backed persist log and arms the PR-2
- *     crash-at-store countdown with the latch action set to
- *     raise(SIGKILL) — the victim dies instantly, mid-store, with
- *     only the log batches it had flushed;
+ *  1. forks a victim that builds the trial's rig against a file-backed
+ *     persist log and arms the crash-at-store countdown with the latch
+ *     action set to raise(SIGKILL) — the victim dies instantly,
+ *     mid-store, with only the log batches it had flushed;
  *  2. reaps the victim and checks it really died by SIGKILL;
- *  3. forks a fresh recovery process that reopens the log (truncating
- *     any torn tail the kill left), rebuilds the NVM image with
- *     NvmCache::restoreFromLog(), classifies every thread block
- *     against the golden run (true-fail / false-fail / false-pass,
- *     via the campaign's ground-truth span machinery), runs
- *     persistRecover(), and re-checks that the recovered output is
- *     byte-identical, durable and host-verified.
+ *  3. forks a fresh recovery process that builds the same rig, reopens
+ *     the log (truncating any torn tail the kill left), rebuilds the
+ *     NVM image with NvmCache::restoreFromLog() and runs the engine's
+ *     trial tail: classify against the golden run, persistRecover(),
+ *     crash again, durable byte-diff, host verify().
  *
  * With an empty log path the victim runs the default in-memory device:
  * the kill then loses *everything*, and the harness checks the
@@ -27,11 +26,12 @@
  *
  * The golden image is computed once in the launching process and
  * handed to recovery children through a file, so a recovered match
- * also certifies cross-process determinism of the simulator.
+ * also certifies cross-process determinism of the simulator. Each
+ * child reports back through one fixed-size record file.
  *
  * A harness run passes iff every victim died by SIGKILL, no trial saw
  * a false-pass (silent corruption), and every recovery converged to
- * the golden bytes.
+ * the golden bytes and passed host verification.
  */
 
 #ifndef GPULP_HARNESS_CRASHHARNESS_H
@@ -41,7 +41,7 @@
 #include <string>
 #include <vector>
 
-#include "core/lp_config.h"
+#include "harness/crashtrial.h"
 
 namespace gpulp {
 
@@ -97,9 +97,10 @@ struct CrashHarnessOptions {
     bool keep_files = false;
 };
 
-/** Outcome of one kill point. */
-struct CrashTrialResult {
-    uint64_t crash_point = 0;      //!< stores observed before the kill
+/** Outcome of one kill point: the shared trial fields (crash_point is
+ *  the observed-store index of the kill; torn_lines stays 0, the kill
+ *  leaves no cache to count) plus what only a real kill can show. */
+struct CrashTrialResult : TrialResult {
     bool killed_by_sigkill = false; //!< victim died by SIGKILL, not exit
 
     // Log forensics from the recovery process (file device only).
@@ -108,20 +109,9 @@ struct CrashTrialResult {
     uint64_t torn_tail_bytes = 0;    //!< bytes the kill tore mid-append
     uint64_t crc_rejected = 0;       //!< complete-but-corrupt entries
 
-    // Classification of the restored image (see BlockClassification).
-    uint64_t corrupt_blocks = 0;
-    uint64_t flagged_blocks = 0;
-    uint64_t true_fails = 0;
-    uint64_t false_fails = 0;
-    uint64_t false_passes = 0;     //!< silent corruption — must be 0
-
-    uint64_t blocks_recovered = 0;
-    uint64_t recovery_rounds = 0;
-    bool converged = false;
-    bool output_matches_golden = false; //!< durable output == golden
-    bool verify_ok = false;        //!< workload host-reference check
-
     bool passed() const;
+
+    bool operator==(const CrashTrialResult &) const = default;
 };
 
 /** Whole-harness outcome for one (workload, device) pair. */
@@ -144,6 +134,31 @@ CrashHarnessResult runCrashHarness(const CrashHarnessOptions &opts);
 /** Emit one harness result as a JSON object to @p out. */
 void writeCrashHarnessJson(const CrashHarnessResult &result,
                            std::FILE *out);
+
+// Cross-process hand-off files ---------------------------------------------
+//
+// Both readers take bytes another process wrote and a kill may have cut
+// short: they check every count and size against what the caller
+// expects before allocating, and reject a truncated, padded or
+// corrupted file instead of returning a misshapen record.
+
+/** Write the golden per-block output bytes. */
+bool writeGoldenFile(const std::string &path,
+                     const std::vector<std::vector<uint8_t>> &blocks);
+
+/** Read golden bytes back; the file must hold exactly
+ *  @p block_bytes.size() blocks of @p block_bytes[b] bytes each. */
+bool readGoldenFile(const std::string &path,
+                    const std::vector<size_t> &block_bytes,
+                    std::vector<std::vector<uint8_t>> *blocks);
+
+/** Write @p trial, all but killed_by_sigkill, as one fixed-size
+ *  record of 64-bit words. */
+bool writeTrialFile(const std::string &path, const CrashTrialResult &trial);
+
+/** Read a record written by writeTrialFile() into @p trial, keeping its
+ *  killed_by_sigkill; @p trial is untouched when the file is rejected. */
+bool readTrialFile(const std::string &path, CrashTrialResult *trial);
 
 } // namespace gpulp
 

@@ -3,38 +3,20 @@
  * Crash-consistency fault-injection campaign.
  *
  * The paper's claim is not that LP is fast — it is that LP-protected
- * kernels *survive crashes*: validation recomputes per-block checksums
- * against the store and recovery re-executes exactly the failed blocks
- * (Sec. II-A, IV-A, Listing 7). This harness turns that claim into a
- * testable statement. For every campaign cell — a (workload,
- * persistency model, checksum store, checksum kind) tuple — it:
- *
- *  1. runs the protected kernel crash-free and snapshots the golden
- *     output;
- *  2. sweeps crash points over the observed-store count: a
- *     deterministic grid of fractions plus Prng-seeded random points;
- *  3. for each point: re-arms NvmCache::crashAfterStores(), runs the
- *     kernel to the crash, rewinds to the persisted image, and
- *     byte-diffs every block's persistent output against the golden
- *     run — ground truth for which blocks are actually corrupt;
- *  4. classifies each block by crossing the ground truth with the
- *     model's own failure verdict (PersistStrategy::verdict — lazy:
- *     the checksum validation kernel; eager/strict/epoch: the durable
- *     per-block commit flag):
- *       - true fail:   corrupt and flagged (recovery will repair it);
- *       - false fail:  intact but flagged (checksum entry or commit
- *                      flag did not persist; wasted re-execution,
- *                      still correct);
- *       - false pass:  corrupt but NOT flagged — silent corruption,
- *                      the one outcome that breaks the model's
- *                      guarantee;
- *  5. runs the crash-tolerant recovery driver (persistRecover, with
- *     undo-log rollback for eager) and re-diffs the recovered output
- *     against golden.
+ * kernels *survive crashes* (Sec. II-A, IV-A, Listing 7). The campaign
+ * sweeps that claim over cells — (workload, persistency model,
+ * checksum store, checksum kind) tuples. Per cell it builds one
+ * CrashTrial (crashtrial.h), takes the golden run, and arms the crash
+ * in-process at every point of a sweep over the golden run's observed
+ * stores: a deterministic grid of fractions plus Prng-seeded random
+ * points. Each trial rewinds, runs into NvmCache::crashAfterStores(),
+ * and then classifies, recovers and re-checks through the engine.
  *
  * A campaign passes iff every trial converged with zero false-passes
- * and a byte-identical durable output. runFaultCampaign() is
- * deterministic for a fixed (options, workers) pair.
+ * and a byte-identical, host-verified durable output. False fails —
+ * intact blocks flagged for a benign re-execution — do not fail it.
+ * runFaultCampaign() is deterministic for a fixed (options, workers)
+ * pair.
  */
 
 #ifndef GPULP_HARNESS_FAULTCAMPAIGN_H
@@ -45,20 +27,10 @@
 #include <string>
 #include <vector>
 
-#include "core/lp_config.h"
-#include "mem/timing.h"
+#include "harness/crashtrial.h"
 #include "obs/counters.h"
-#include "sim/sched_policy.h"
 
 namespace gpulp {
-
-class Device;
-class GlobalMemory;
-class Prng;
-class Workload;
-struct LpContext;
-struct LaunchConfig;
-struct OutputSpan;
 
 /** What to sweep and how hard. */
 struct CampaignOptions {
@@ -100,34 +72,6 @@ struct CampaignOptions {
      *  (table, checksum) pair; the other models carry no checksum
      *  store, so each contributes exactly one cell per workload. */
     std::vector<PersistModel> models = {PersistModel::Lazy};
-
-    /**
-     * Optional schedule policy installed on every cell's device (empty
-     * = the production deterministic scheduler). Lets the campaign's
-     * crash sweep run under an adversarial resume order, crossing
-     * crash-at-store injection with schedule exploration (see
-     * src/analysis/explorer.h and docs/SCHEDULE_EXPLORATION.md).
-     */
-    SchedulePolicyFactory policy_factory;
-};
-
-/** Outcome of one crash point within a cell. */
-struct TrialResult {
-    uint64_t crash_point = 0;     //!< stores persisted before the cut
-    uint64_t torn_lines = 0;      //!< dirty lines dropped at the crash
-    uint64_t corrupt_blocks = 0;  //!< ground truth: output != golden
-    uint64_t flagged_blocks = 0;  //!< validation verdict: marked failed
-    uint64_t true_fails = 0;      //!< corrupt and flagged
-    uint64_t false_fails = 0;     //!< intact but flagged (benign)
-    uint64_t false_passes = 0;    //!< corrupt but NOT flagged (fatal)
-    uint64_t blocks_recovered = 0;
-    uint64_t recovery_rounds = 0;
-    uint64_t crashes_survived = 0;
-    Cycles validate_cycles = 0;
-    Cycles recover_cycles = 0;
-    bool converged = false;       //!< recovery driver reached 0 failures
-    bool output_matches_golden = false; //!< durable output byte-identical
-    bool verify_ok = false;       //!< workload host-reference check
 };
 
 /** One (workload, model, table, checksum) sweep. */
@@ -176,30 +120,6 @@ struct CampaignResult {
  */
 CampaignResult runFaultCampaign(const CampaignOptions &opts);
 
-// Shared crash-classification machinery ------------------------------------
-//
-// tools/crash_harness replays the same ground-truth protocol against a
-// process that was genuinely SIGKILLed, so the helpers the campaign
-// classifies with are exported here rather than buried in the .cc.
-
-/** Concatenated current-arena bytes of a span list. */
-std::vector<uint8_t> readOutputSpans(const GlobalMemory &mem,
-                                     const std::vector<OutputSpan> &spans);
-
-/** The LP configuration a (table, checksum) campaign cell runs under. */
-LpConfig campaignCellConfig(const Workload &w, TableKind table,
-                            ChecksumKind kind);
-
-/**
- * Crash points for one cell: @p grid_points evenly-spaced fractions of
- * @p stores plus @p random_points Prng draws, deduplicated and topped
- * back up. Points stay in [1, stores-2] so at least one store is
- * attempted after the latch and the run reliably crashes.
- */
-std::set<uint64_t> pickCrashPoints(uint32_t grid_points,
-                                   uint32_t random_points, uint64_t stores,
-                                   Prng &rng);
-
 /**
  * A consumable plan of crash points for an open-ended run — the
  * serving case. The campaign knows its store horizon up front (one
@@ -232,28 +152,6 @@ class CrashSchedule
   private:
     std::set<uint64_t> points_;
 };
-
-/** Per-block crash classification against a golden run. */
-struct BlockClassification {
-    uint64_t corrupt_blocks = 0; //!< ground truth: output != golden
-    uint64_t flagged_blocks = 0; //!< validation verdict: marked failed
-    uint64_t true_fails = 0;     //!< corrupt and flagged
-    uint64_t false_fails = 0;    //!< intact but flagged (benign)
-    uint64_t false_passes = 0;   //!< corrupt but NOT flagged (fatal)
-};
-
-/**
- * Ground-truth classification of the image currently in @p dev's
- * arena: byte-diff every block's spans against @p golden_blocks, take
- * the verdict of @p ctx's strategy — the validation kernel under lazy,
- * the durable commit flags otherwise, exactly what recovery would
- * decide after a reboot — and cross the two.
- */
-BlockClassification classifyCrash(
-    Device &dev, const LaunchConfig &launch, Workload &w,
-    const LpContext &ctx,
-    const std::vector<std::vector<OutputSpan>> &block_spans,
-    const std::vector<std::vector<uint8_t>> &golden_blocks);
 
 /** Emit the campaign report as JSON to @p out. */
 void writeCampaignJson(const CampaignResult &result, std::FILE *out);

@@ -3,8 +3,15 @@
  * End-to-end smoke tests for the kill-9 crash harness: a victim
  * process genuinely dies by SIGKILL mid-store and a fresh process
  * recovers the workload — from the persist log on the file device,
- * from re-setup state on the in-memory device.
+ * from re-setup state on the in-memory device. Plus a corruption sweep
+ * over the two files that carry results between those processes.
  */
+
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -76,14 +83,78 @@ TEST(CrashHarnessTest, DeterministicAcrossRuns)
     opts.random_points = 1;
     CrashHarnessResult a = runCrashHarness(opts);
     CrashHarnessResult b = runCrashHarness(opts);
-    ASSERT_EQ(a.trials.size(), b.trials.size());
+    EXPECT_EQ(a.trials.size(), 2u);
     EXPECT_EQ(a.golden_stores, b.golden_stores);
-    for (size_t i = 0; i < a.trials.size(); ++i) {
-        EXPECT_EQ(a.trials[i].crash_point, b.trials[i].crash_point);
-        EXPECT_EQ(a.trials[i].corrupt_blocks, b.trials[i].corrupt_blocks);
-        EXPECT_EQ(a.trials[i].entries_replayed,
-                  b.trials[i].entries_replayed);
+    EXPECT_EQ(a.trials, b.trials);
+}
+
+// ---------------------------------------------------------------------
+// Hand-off readers under truncation and bit flips
+// ---------------------------------------------------------------------
+
+/** Every truncation of @p file, @p file padded by one byte, and every
+ *  single-bit flip of it. */
+std::vector<std::string>
+corruptionsOf(const std::string &file)
+{
+    std::vector<std::string> out;
+    for (size_t len = 0; len < file.size(); ++len)
+        out.push_back(file.substr(0, len));
+    out.push_back(file + '\0');
+    for (size_t at = 0; at < file.size(); ++at) {
+        for (int bit = 0; bit < 8; ++bit) {
+            out.push_back(file);
+            out.back()[at] = static_cast<char>(out.back()[at] ^ (1 << bit));
+        }
     }
+    return out;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), {}};
+}
+
+TEST(CrashHarnessTest, HandOffReadersRejectOrReadBackEveryCorruption)
+{
+    // Each reader must reject a damaged file or return records of the
+    // expected shape that write back to exactly the bytes it read.
+    const std::string path = ::testing::TempDir() + "gpulp_handoff.bin";
+    const std::vector<size_t> shape = {3, 5, 1};
+    ASSERT_TRUE(writeGoldenFile(path, {{1, 2, 3}, {4, 5, 6, 7, 8}, {9}}));
+    for (const std::string &bad : corruptionsOf(slurp(path))) {
+        std::ofstream(path, std::ios::binary) << bad;
+        std::vector<std::vector<uint8_t>> golden;
+        if (!readGoldenFile(path, shape, &golden))
+            continue;
+        std::vector<size_t> got;
+        for (const std::vector<uint8_t> &block : golden)
+            got.push_back(block.size());
+        EXPECT_EQ(got, shape);
+        ASSERT_TRUE(writeGoldenFile(path, golden));
+        EXPECT_EQ(slurp(path), bad);
+    }
+
+    CrashTrialResult trial;
+    trial.crash_point = 1428;
+    trial.corrupt_blocks = 64;
+    trial.recover_cycles = 24534;
+    trial.converged = true;
+    trial.entries_replayed = 128;
+    ASSERT_TRUE(writeTrialFile(path, trial));
+    for (const std::string &bad : corruptionsOf(slurp(path))) {
+        std::ofstream(path, std::ios::binary) << bad;
+        CrashTrialResult read;
+        if (!readTrialFile(path, &read)) {
+            EXPECT_EQ(read, CrashTrialResult{}) << "rejected, yet changed";
+            continue;
+        }
+        ASSERT_TRUE(writeTrialFile(path, read));
+        EXPECT_EQ(slurp(path), bad);
+    }
+    std::remove(path.c_str());
 }
 
 } // namespace

@@ -283,16 +283,8 @@ TEST(FaultCampaign, DeterministicForAFixedSeed)
     CampaignResult b = runFaultCampaign(opts);
     ASSERT_EQ(a.cells.size(), 1u);
     ASSERT_EQ(b.cells.size(), 1u);
-    ASSERT_EQ(a.cells[0].trials.size(), b.cells[0].trials.size());
-    for (size_t i = 0; i < a.cells[0].trials.size(); ++i) {
-        const TrialResult &ta = a.cells[0].trials[i];
-        const TrialResult &tb = b.cells[0].trials[i];
-        EXPECT_EQ(ta.crash_point, tb.crash_point);
-        EXPECT_EQ(ta.torn_lines, tb.torn_lines);
-        EXPECT_EQ(ta.corrupt_blocks, tb.corrupt_blocks);
-        EXPECT_EQ(ta.flagged_blocks, tb.flagged_blocks);
-        EXPECT_EQ(ta.blocks_recovered, tb.blocks_recovered);
-    }
+    EXPECT_EQ(a.cells[0].trials.size(), 3u);
+    EXPECT_EQ(a.cells[0].trials, b.cells[0].trials);
 }
 
 TEST(FaultCampaign, PinnedTrialsUnderEveryModel)

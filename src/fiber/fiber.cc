@@ -75,14 +75,12 @@ unmapStack(void *base, size_t total)
 
 #if !defined(__x86_64__)
 // ---------------------------------------------------------------------
-// Portable ucontext fallback. Each "saved_sp" slot actually stores a
-// heap-allocated ucontext_t; the switch helper mimics the assembly
-// routine's save/restore contract.
+// Portable ucontext fallback. A fiber's saved_sp_ points at the
+// heap-allocated ucontext_t it owns; resumer_sp_ points at a
+// ucontext_t in the frame of the resume() that entered the run, which
+// stays live until a fiber switches back to it, just as the assembly
+// routine's saved stack pointer does.
 // ---------------------------------------------------------------------
-
-struct UctxPair {
-    ucontext_t ctx;
-};
 
 thread_local void *ucontext_entry_arg = nullptr;
 
@@ -93,13 +91,37 @@ ucontextEntry()
 }
 #endif
 
+/** Panic unless @p next may take over from the running fiber @p self. */
+void
+checkHandOff(const Fiber *self, const Fiber &next)
+{
+    GPULP_ASSERT(&next != self, "fiber handing off to itself");
+    GPULP_ASSERT(!next.finished(), "handing off to a finished fiber");
+}
+
+/**
+ * Save the running context through @p save and continue in @p restore:
+ * *save receives the stack pointer on x86-64, and on the ucontext
+ * fallback already points at the ucontext_t that receives the context.
+ */
+inline void
+switchContext(void **save, void *restore)
+{
+#if defined(__x86_64__)
+    gpulp_context_switch(save, restore);
+#else
+    swapcontext(static_cast<ucontext_t *>(*save),
+                static_cast<ucontext_t *>(restore));
+#endif
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
 // Fiber
 // ---------------------------------------------------------------------
 
-Fiber::Fiber(std::function<void()> entry, size_t stack_size)
+Fiber::Fiber(Entry entry, size_t stack_size)
     : entry_(std::move(entry))
 {
     GPULP_ASSERT(entry_ != nullptr, "fiber needs an entry function");
@@ -122,19 +144,16 @@ Fiber::Fiber(std::function<void()> entry, size_t stack_size)
         reinterpret_cast<uint64_t>(&gpulp_context_trampoline); // ret
     saved_sp_ = slots;
 #else
-    auto *pair = new UctxPair;
-    getcontext(&pair->ctx);
-    pair->ctx.uc_stack.ss_sp =
-        static_cast<char *>(stack_base_) + pageSize();
-    pair->ctx.uc_stack.ss_size = stack_total_ - pageSize();
-    pair->ctx.uc_link = nullptr;
+    auto *ctx = new ucontext_t;
+    getcontext(ctx);
+    ctx->uc_stack.ss_sp = static_cast<char *>(stack_base_) + pageSize();
+    ctx->uc_stack.ss_size = stack_total_ - pageSize();
+    ctx->uc_link = nullptr;
     // The Fiber* is delivered through a thread-local set just before
     // the first swap; makecontext's int-argument interface cannot carry
     // a 64-bit pointer portably.
-    makecontext(&pair->ctx, reinterpret_cast<void (*)()>(&ucontextEntry),
-                0);
-    saved_sp_ = pair;
-    resumer_sp_ = new UctxPair;
+    makecontext(ctx, reinterpret_cast<void (*)()>(&ucontextEntry), 0);
+    saved_sp_ = ctx;
 #endif
 
 #ifdef GPULP_FIBER_TSAN
@@ -147,8 +166,7 @@ Fiber::~Fiber()
     GPULP_ASSERT(!started_ || finished_,
                  "destroying a suspended fiber mid-execution");
 #if !defined(__x86_64__)
-    delete static_cast<UctxPair *>(saved_sp_);
-    delete static_cast<UctxPair *>(resumer_sp_);
+    delete static_cast<ucontext_t *>(saved_sp_);
 #endif
 #ifdef GPULP_FIBER_TSAN
     __tsan_destroy_fiber(tsan_fiber_);
@@ -196,19 +214,21 @@ Fiber::resume()
 #ifdef GPULP_FIBER_ASAN
     // Announce the stack change; `fake` parks this context's fake-stack
     // frames until control returns here (right after the switch call).
+    // The cleared bounds tell the switch in to capture this stack's.
+    asan_resumer_bottom_ = nullptr;
     void *fake = nullptr;
     __sanitizer_start_switch_fiber(
         &fake, static_cast<char *>(stack_base_) + pageSize(),
         stack_total_ - pageSize());
 #endif
-#if defined(__x86_64__)
-    gpulp_context_switch(&resumer_sp_, saved_sp_);
-#else
-    auto *own = static_cast<UctxPair *>(saved_sp_);
-    auto *res = static_cast<UctxPair *>(resumer_sp_);
+#if !defined(__x86_64__)
+    ucontext_t resumer;
+    resumer_sp_ = &resumer;
     ucontext_entry_arg = this;
-    swapcontext(&res->ctx, &own->ctx);
 #endif
+    // Control comes back from whichever fiber of the run's hand-off
+    // chain switches to the resumer.
+    switchContext(&resumer_sp_, saved_sp_);
 #ifdef GPULP_FIBER_ASAN
     __sanitizer_finish_switch_fiber(fake, nullptr, nullptr);
 #endif
@@ -222,12 +242,18 @@ Fiber::yield()
     GPULP_ASSERT(self != nullptr, "Fiber::yield outside any fiber");
     void *fake = nullptr;
     self->switchToResumer(&fake);
-#ifdef GPULP_FIBER_ASAN
-    // Back on the fiber: re-capture the resumer's bounds — a pooled
-    // worker other than last time's may be driving us now.
-    __sanitizer_finish_switch_fiber(fake, &self->asan_resumer_bottom_,
-                                    &self->asan_resumer_size_);
-#endif
+    self->finishSwitchIn(fake);
+}
+
+void
+Fiber::switchTo(Fiber &next)
+{
+    Fiber *self = tls_current_fiber;
+    GPULP_ASSERT(self != nullptr, "Fiber::switchTo outside any fiber");
+    checkHandOff(self, next);
+    void *fake = nullptr;
+    self->handOff(next, &fake);
+    self->finishSwitchIn(fake);
 }
 
 void
@@ -240,12 +266,46 @@ Fiber::switchToResumer([[maybe_unused]] void **fake_stack_save)
     __sanitizer_start_switch_fiber(fake_stack_save, asan_resumer_bottom_,
                                    asan_resumer_size_);
 #endif
-#if defined(__x86_64__)
-    gpulp_context_switch(&saved_sp_, resumer_sp_);
-#else
-    auto *own = static_cast<UctxPair *>(saved_sp_);
-    auto *res = static_cast<UctxPair *>(resumer_sp_);
-    swapcontext(&own->ctx, &res->ctx);
+    switchContext(&saved_sp_, resumer_sp_);
+}
+
+void
+Fiber::handOff(Fiber &next, [[maybe_unused]] void **fake_stack_save)
+{
+    tls_current_fiber = &next;
+    next.started_ = true;
+    next.resumer_sp_ = resumer_sp_;
+#ifdef GPULP_FIBER_TSAN
+    next.tsan_resumer_ = tsan_resumer_;
+    __tsan_switch_to_fiber(next.tsan_fiber_, 0);
+#endif
+#ifdef GPULP_FIBER_ASAN
+    next.asan_resumer_bottom_ = asan_resumer_bottom_;
+    next.asan_resumer_size_ = asan_resumer_size_;
+    __sanitizer_start_switch_fiber(
+        fake_stack_save, static_cast<char *>(next.stack_base_) + pageSize(),
+        next.stack_total_ - pageSize());
+#endif
+#if !defined(__x86_64__)
+    ucontext_entry_arg = &next;
+#endif
+    switchContext(&saved_sp_, next.saved_sp_);
+}
+
+void
+Fiber::finishSwitchIn([[maybe_unused]] void *fake_stack_save)
+{
+#ifdef GPULP_FIBER_ASAN
+    // Capture the stack we came from only when it is the resumer's: a
+    // pooled worker other than last time's may be driving us now.
+    const void *from_bottom = nullptr;
+    size_t from_size = 0;
+    __sanitizer_finish_switch_fiber(fake_stack_save, &from_bottom,
+                                    &from_size);
+    if (asan_resumer_bottom_ == nullptr) {
+        asan_resumer_bottom_ = from_bottom;
+        asan_resumer_size_ = from_size;
+    }
 #endif
 }
 
@@ -259,20 +319,21 @@ void
 Fiber::runEntry()
 {
     for (;;) {
-#ifdef GPULP_FIBER_ASAN
-        // First instant of a run: complete the switch resume() started
-        // (no fake stack to restore) and capture the resumer's stack
-        // bounds for the first yield.
-        __sanitizer_finish_switch_fiber(nullptr, &asan_resumer_bottom_,
-                                        &asan_resumer_size_);
-#endif
-        entry_();
+        // First instant of a run: complete the switch that started it
+        // (no fake stack to restore).
+        finishSwitchIn(nullptr);
+        Fiber *next = entry_();
         finished_ = true;
         // Park here until rearm() and resume() start the next run; the
         // entry's frames are gone, so ASan may free the fake stack.
         // Looping instead of rebuilding the initial frame keeps TSan's
         // shadow call stack for this fiber balanced across runs.
-        switchToResumer(nullptr);
+        if (next != nullptr) {
+            checkHandOff(this, *next);
+            handOff(*next, nullptr);
+        } else {
+            switchToResumer(nullptr);
+        }
     }
 }
 

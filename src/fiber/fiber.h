@@ -5,9 +5,12 @@
  * The GPU simulator runs every thread of a thread block as a fiber so
  * that CUDA-like collectives — __syncthreads(), warp shuffles — can
  * block a thread mid-kernel and hand control to its siblings, exactly
- * as SIMT hardware interleaves warps. Fibers are resumed only by the
- * block executor and are not thread-safe (see Fiber for which OS
- * thread may resume one).
+ * as SIMT hardware interleaves warps. The block runner resumes the
+ * block's first ready fiber; from then on each fiber that parks or
+ * finishes switches straight to the next ready one (switchTo(), or a
+ * finished run that names its successor), and control returns to the
+ * runner only when no fiber is ready. Fibers are not thread-safe (see
+ * Fiber for which OS thread may run one).
  *
  * On x86-64 the context switch is a 12-instruction assembly routine
  * (callee-saved registers + stack pointer), roughly an order of
@@ -29,6 +32,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <type_traits>
 
 /*
  * Sanitizer support: ASan tracks stack bounds (and fake-stack frames)
@@ -62,6 +66,14 @@ namespace gpulp {
  * until the entry either calls Fiber::yield() or returns. A finished
  * fiber must not be resumed again until rearm() starts a new run.
  *
+ * Who runs a fiber: its resumer (code outside it, or another fiber
+ * calling resume()), or another fiber of the same resumer handing off
+ * with switchTo() or by finishing a run that names it. A fiber entered
+ * by a hand-off inherits its predecessor's resumer, so yield() and an
+ * entry that returns nullptr go back to the code that called resume(),
+ * never to the predecessor. Handing off to a finished fiber or to the
+ * running one panics.
+ *
  * Threads: a suspended fiber must be resumed on the OS thread it last
  * ran on (compiled code may keep thread-local addresses across the
  * switch). A finished fiber holds no such frames, so once re-armed it
@@ -82,6 +94,13 @@ class Fiber
 #endif
 
     /**
+     * One run's body. It returns the fiber that receives control when
+     * the run finishes (that fiber inherits this one's resumer), or
+     * nullptr to return to the resumer.
+     */
+    using Entry = std::function<Fiber *()>;
+
+    /**
      * Create a fiber.
      *
      * @param entry Function executed on the fiber's own stack, once per
@@ -89,8 +108,19 @@ class Fiber
      * @param stack_size Usable stack size in bytes (rounded up to page
      *             granularity).
      */
-    explicit Fiber(std::function<void()> entry,
-                   size_t stack_size = kDefaultStackSize);
+    explicit Fiber(Entry entry, size_t stack_size = kDefaultStackSize);
+
+    /** Create a fiber whose runs always finish back to the resumer. */
+    template <typename F>
+        requires std::is_void_v<std::invoke_result_t<F &>>
+    explicit Fiber(F entry, size_t stack_size = kDefaultStackSize)
+        : Fiber(Entry([entry = std::move(entry)]() mutable -> Fiber * {
+                    entry();
+                    return nullptr;
+                }),
+                stack_size)
+    {
+    }
 
     /** Destroying a suspended (unfinished) fiber is a programming error. */
     ~Fiber();
@@ -116,6 +146,14 @@ class Fiber
     /** Suspend the calling fiber, returning control to its resumer. */
     static void yield();
 
+    /**
+     * Suspend the calling fiber and run @p next in its place: one
+     * context switch, where a yield() and a resume() take two. @p next
+     * inherits the caller's resumer. Returns when the caller is
+     * resumed or handed control again.
+     */
+    static void switchTo(Fiber &next);
+
     /** The fiber currently executing on this OS thread, or nullptr. */
     static Fiber *current();
 
@@ -138,23 +176,50 @@ class Fiber
     /**
      * Switch back to the resumer; returns when resumed. Under ASan,
      * @p fake_stack_save receives this fiber's fake stack (nullptr: the
-     * run is over, let ASan free it).
+     * run is over, let ASan free it). A nullptr switch frees the fake
+     * stack before this frame returns in the next run, so neither this
+     * nor handOff() may hold an ASan fake frame: no asserts and no
+     * address-taken locals.
      */
     void switchToResumer(void **fake_stack_save);
+
+    /**
+     * Switch from this (running) fiber to @p next, which inherits this
+     * fiber's resumer; returns when this fiber runs again.
+     * @p fake_stack_save as for switchToResumer(). The caller checks
+     * @p next first.
+     */
+    void handOff(Fiber &next, void **fake_stack_save);
+
+    /**
+     * Complete a switch into this fiber: restore the fake stack ASan
+     * saved in @p fake_stack_save and, when a resume() (not a hand-off)
+     * brought control here, record the resumer's stack bounds.
+     */
+    void finishSwitchIn(void *fake_stack_save);
 
     /** ASan: clear poison left on the usable stack (no-op otherwise). */
     void unpoisonStack();
 
-    std::function<void()> entry_;
+    Entry entry_;
     void *stack_base_ = nullptr;   //!< mmap base (guard page included)
     size_t stack_total_ = 0;       //!< mmap length
     void *saved_sp_ = nullptr;     //!< fiber's suspended stack pointer
-    void *resumer_sp_ = nullptr;   //!< resumer's suspended stack pointer
+    /**
+     * Resumer's suspended stack pointer, set by resume() and copied
+     * from the predecessor by a hand-off. It points into the resumer's
+     * stack, which stays suspended until a fiber switches back to it.
+     */
+    void *resumer_sp_ = nullptr;
     bool started_ = false;
     bool finished_ = false;
 
 #ifdef GPULP_FIBER_ASAN
-    /** Resumer stack bounds, captured each time control enters here. */
+    /**
+     * Resumer stack bounds. resume() clears them and the switch in
+     * captures them; a hand-off copies the predecessor's instead, since
+     * the stack that switch came from is the predecessor's own.
+     */
     const void *asan_resumer_bottom_ = nullptr;
     size_t asan_resumer_size_ = 0;
 #endif

@@ -178,7 +178,8 @@ NvmCache::restoreFromLog()
     GPULP_ASSERT(log_ != nullptr, "restoreFromLog without an attached log");
     log_->forEachLive([&](uint64_t key, const uint8_t *data,
                           uint32_t size) {
-        GPULP_ASSERT(key + size <= shadow_.size(),
+        // key + size would wrap for a key near 2^64.
+        GPULP_ASSERT(size <= shadow_.size() && key <= shadow_.size() - size,
                      "log entry [%llu, +%u) beyond the arena (%zu bytes): "
                      "the recovering process laid memory out differently",
                      static_cast<unsigned long long>(key), size,

@@ -90,13 +90,13 @@ Device::WorkerState::beginBlock(const KernelFn &fn, const LaunchConfig &cfg,
     while (fibers.size() < n) {
         const uint32_t t = static_cast<uint32_t>(fibers.size());
         fibers.push_back(std::make_unique<Fiber>(
-            [this, t] { runThread(t); }, stack_bytes));
+            [this, t] { return runThread(t); }, stack_bytes));
     }
     for (uint32_t t = 0; t < n; ++t)
         fibers[t]->rearm();
 }
 
-void
+Fiber *
 Device::WorkerState::runThread(uint32_t t)
 {
     try {
@@ -106,6 +106,7 @@ Device::WorkerState::runThread(uint32_t t)
     } catch (const std::exception &e) {
         GPULP_PANIC("kernel thread threw: %s", e.what());
     }
+    return block.exitThread(ctxs[t]);
 }
 
 void
@@ -132,50 +133,11 @@ Device::runBlockLocal(const LaunchConfig &cfg, uint64_t rank,
     }
 
     ws.beginBlock(kernel, cfg, n);
-    std::vector<ThreadCtx> &ctxs = ws.ctxs;
-    std::vector<std::unique_ptr<Fiber>> &fibers = ws.fibers;
-
-    // Event-driven scheduling: resume ready fibers in cyclic flat-tid
-    // order; fibers parked on a collective or the rank gate rejoin the
-    // ready set only when their event releases, never to re-poll. An
-    // empty ready set with live threads means either every live thread
-    // is parked on the rank gate (the block waits for lower ranks —
-    // park the worker on the gate until the frontier moves or a crash
-    // latches) or the block genuinely deadlocked.
-    uint32_t last = BlockState::kNoThread;
-    uint64_t switches = 0; // folded into SimFiberSwitches once per block
-    while (state.liveThreads() > 0) {
-        uint32_t t = state.popReady(last);
-        if (t == BlockState::kNoThread) {
-            if (gate != nullptr && state.gateParkedThreads() > 0) {
-                gate->awaitLeader(rank, [this] {
-                    return nvm_ != nullptr && nvm_->crashPending();
-                });
-                state.wakeGateParked();
-                // The retired poll loop restarted its pass at tid 0
-                // after a gate wake; keep that scan origin so resume
-                // order — and therefore every result — is unchanged.
-                last = BlockState::kNoThread;
-                continue;
-            }
-            GPULP_PANIC("thread block (%u,%u,%u) deadlocked: %u threads "
-                        "waiting on a collective that cannot release",
-                        block_idx.x, block_idx.y, block_idx.z,
-                        state.liveThreads());
-        }
-        ++switches;
-        if (policy)
-            policy->onResume(t);
-        fibers[t]->resume();
-        if (fibers[t]->finished())
-            state.onThreadExit(ctxs[t]);
-        last = t;
-    }
-    obs::add(obs::Ctr::SimFiberSwitches, switches);
+    state.run(ws.fibers);
 
     out.crashed = ws.crashed;
     Cycles end = 0;
-    for (const ThreadCtx &ctx : ctxs)
+    for (const ThreadCtx &ctx : ws.ctxs)
         end = std::max(end, ctx.now());
     out.local_end = end;
     obs::add(obs::Ctr::SimWarps, (n + kWarpSize - 1) / kWarpSize);
@@ -185,7 +147,7 @@ Device::runBlockLocal(const LaunchConfig &cfg, uint64_t rank,
     if (!out.events.empty()) {
         out.thread_end.resize(n);
         for (uint32_t t = 0; t < n; ++t)
-            out.thread_end[t] = ctxs[t].now();
+            out.thread_end[t] = ws.ctxs[t].now();
     }
 }
 

@@ -190,8 +190,11 @@ class Device
         void beginBlock(const KernelFn &fn, const LaunchConfig &cfg,
                         uint32_t n);
 
-        /** Fiber entry of thread slot @p t: run the kernel on ctxs[t]. */
-        void runThread(uint32_t t);
+        /**
+         * Fiber entry of thread slot @p t: run the kernel on ctxs[t],
+         * then retire the thread and name the fiber to hand off to.
+         */
+        Fiber *runThread(uint32_t t);
 
         MemTiming timing;
         BlockState block;

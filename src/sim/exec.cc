@@ -156,12 +156,72 @@ collectWaiters(const std::vector<uint64_t> &bits, std::vector<uint32_t> &out)
 } // namespace
 
 void
+BlockState::run(std::span<const std::unique_ptr<Fiber>> fibers)
+{
+    GPULP_ASSERT(fibers.size() >= num_threads_,
+                 "%zu fibers for %u threads", fibers.size(), num_threads_);
+    fibers_ = fibers;
+    resumes_ = 0;
+    for (;;) {
+        if (Fiber *first = claimNext(kNoThread))
+            first->resume();
+        if (live_ == 0)
+            break;
+        if (gate_ == nullptr || gate_waiters_.empty())
+            GPULP_PANIC("thread block (%u,%u,%u) deadlocked: %u threads "
+                        "waiting on a collective that cannot release",
+                        block_idx_.x, block_idx_.y, block_idx_.z, live_);
+        // Every live thread waits for lower ranks. Once this rank leads
+        // the woken threads proceed; on a crash abort they observe the
+        // latch and unwind via SimCrash. The wake is the runner's
+        // doing, not an arrival, so it names no releaser. The retired
+        // poll loop restarted its pass at tid 0 after a gate wake; the
+        // next claim keeps that scan origin so resume order — and
+        // therefore every result — is unchanged.
+        gate_->awaitLeader(rank_, [this] {
+            return nvm_ != nullptr && nvm_->crashPending();
+        });
+        wake(gate_waiters_,
+             SchedEvent{SchedEventKind::RankGate, gate_wake_epoch_++},
+             SchedulePolicy::kNoTid);
+    }
+    fibers_ = {};
+    obs::add(obs::Ctr::SimFiberSwitches, resumes_);
+}
+
+Fiber *
+BlockState::claimNext(uint32_t last)
+{
+    if (live_ == 0)
+        return nullptr;
+    const uint32_t t =
+        policy_ != nullptr
+            ? policy_->pick(ready_, last)
+            : ready_.popNextFrom(last == kNoThread ? 0 : last + 1);
+    if (t == kNoThread)
+        return nullptr;
+    ++resumes_;
+    if (policy_ != nullptr)
+        policy_->onResume(t);
+    return fibers_[t].get();
+}
+
+void
+BlockState::suspend(uint32_t tid)
+{
+    if (Fiber *next = claimNext(tid))
+        Fiber::switchTo(*next);
+    else
+        Fiber::yield();
+}
+
+void
 BlockState::parkOn(WaitSet &waiters, uint32_t tid, SchedEvent ev)
 {
     if (policy_ != nullptr)
         policy_->onPark(tid, ev);
     waiters.park(tid);
-    Fiber::yield();
+    suspend(tid);
 }
 
 void
@@ -172,7 +232,7 @@ BlockState::parkOnWarp(WarpState &w, uint32_t tid)
         policy_->onPark(tid, warpEvent(static_cast<uint32_t>(warp_idx)));
     }
     w.wait_mask |= uint64_t{1} << (tid & 63);
-    Fiber::yield();
+    suspend(tid);
 }
 
 void
@@ -223,8 +283,8 @@ BlockState::wakeWarp(WarpState &w, SchedEvent ev, uint32_t releaser)
     obs::add(obs::Ctr::SimFiberWakeups, woken);
 }
 
-void
-BlockState::onThreadExit(ThreadCtx &thread)
+Fiber *
+BlockState::exitThread(ThreadCtx &thread)
 {
     GPULP_ASSERT(!thread.exited_, "thread exited twice");
     thread.exited_ = true;
@@ -244,6 +304,7 @@ BlockState::onThreadExit(ThreadCtx &thread)
     // none) must not be ordered before the woken threads'.
     maybeReleaseBarrier(SchedulePolicy::kNoTid);
     maybeReleaseWarp(warp, SchedulePolicy::kNoTid);
+    return claimNext(thread.flat_tid_);
 }
 
 size_t

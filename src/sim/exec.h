@@ -20,12 +20,17 @@
  * will satisfy it (barrier generation, per-warp collective
  * generation, rank-gate frontier).
  * Releasing the event moves its waiters back to the ready set; a
- * parked fiber is never resumed just to re-poll. The runner resumes
- * ready fibers in cyclic flat-tid order, which reproduces the retired
- * poll-everything loop's interleaving exactly (minus the no-op
- * resumes), so results stay bit-identical at any worker count. All
- * other device operations are non-blocking and charge the thread's
- * cycle counter.
+ * parked fiber is never resumed just to re-poll. Ready fibers run in
+ * cyclic flat-tid order, which reproduces the retired poll-everything
+ * loop's interleaving exactly (minus the no-op resumes), so results
+ * stay bit-identical at any worker count. The runner
+ * (BlockState::run) resumes a fiber only at block start and after a
+ * rank-gate wake; a fiber that parks or exits picks the next one
+ * itself and switches straight to it, so each resume is one host
+ * context switch. Control returns to the runner only when no fiber is
+ * ready: at block end, for a rank-gate wait and for the deadlock
+ * panic. All other device operations are non-blocking and charge the
+ * thread's cycle counter.
  *
  * Timing: each thread carries an absolute cycle counter (its block's
  * start cycle plus its own progress). Collectives align counters to
@@ -40,6 +45,8 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "common/zeroed_buffer.h"
@@ -52,6 +59,7 @@
 
 namespace gpulp {
 
+class Fiber;
 class ThreadCtx;
 
 /**
@@ -375,19 +383,12 @@ class BlockState
     /** Number of warps in the block. */
     uint32_t numWarps() const { return num_warps_; }
 
-    /** Threads that have not yet returned from the kernel. */
-    uint32_t liveThreads() const { return live_; }
-
-    /** Called by the runner when a thread's fiber finishes. */
-    void onThreadExit(ThreadCtx &thread);
-
     // Event-driven scheduling (the block runner's interface) ----------------
 
     /**
      * Install a resume-order policy for this block run (nullptr
      * restores the default deterministic pick). Not owned; must
-     * outlive the run. The runner installs it before the first
-     * popReady().
+     * outlive the run. The runner installs it before run().
      */
     void setSchedulePolicy(SchedulePolicy *policy) { policy_ = policy; }
 
@@ -395,42 +396,26 @@ class BlockState
     SchedulePolicy *schedulePolicy() { return policy_; }
 
     /**
-     * Claim the next thread to resume. On the default path: the
-     * smallest ready tid strictly after @p last in cyclic flat-tid
-     * order (pass kNoThread to start from tid 0), removed from the
-     * ready set. With a policy installed the pick is delegated to it.
-     * Returns kNoThread when no thread is ready — then either
-     * gateParkedThreads() > 0 (the block waits on lower ranks) or the
-     * block is deadlocked.
+     * Run the block's threads to completion (or crash) on @p fibers,
+     * where fibers[t] runs flat tid t and its entry returns
+     * exitThread() of t's ThreadCtx. Resumes the first ready fiber;
+     * parking and exiting fibers hand off among themselves, so this
+     * regains control only when no thread is ready. It then returns
+     * if every thread exited, parks the worker on the rank gate if
+     * every live thread waits there (and resumes from tid 0 once the
+     * frontier reaches this rank or a crash latches), and otherwise
+     * panics: the block deadlocked. Adds the resumes to
+     * sim.fiber_switches.
      */
-    uint32_t
-    popReady(uint32_t last)
-    {
-        if (policy_ != nullptr)
-            return policy_->pick(ready_, last);
-        return ready_.popNextFrom(last == kNoThread ? 0 : last + 1);
-    }
-
-    /** Sentinel tid for popReady(). */
-    static constexpr uint32_t kNoThread = ReadySet::kNone;
-
-    /** Threads parked on the rank gate (waiting for lower ranks). */
-    uint32_t gateParkedThreads() const { return gate_waiters_.count; }
+    void run(std::span<const std::unique_ptr<Fiber>> fibers);
 
     /**
-     * Move every gate-parked thread back to the ready set. The runner
-     * calls this after RankGate::awaitLeader returns — on leadership
-     * the woken fibers proceed; on crash-abort they observe the latch
-     * and unwind via SimCrash. The wake is the runner's doing, not any
-     * thread's arrival, so the release event carries no releaser tid.
+     * Retire a thread whose kernel returned or unwound, and pick the
+     * fiber to hand off to: what a thread's fiber entry returns.
+     * @return The next ready thread's fiber, or nullptr (back to
+     *         run()) when none is ready.
      */
-    void
-    wakeGateParked()
-    {
-        wake(gate_waiters_,
-             SchedEvent{SchedEventKind::RankGate, gate_wake_epoch_++},
-             SchedulePolicy::kNoTid);
-    }
+    Fiber *exitThread(ThreadCtx &thread);
 
     /**
      * Resolve or claim the shared-memory slot @p slot_id of @p bytes
@@ -512,12 +497,31 @@ class BlockState
      */
     void maybeReleaseWarp(WarpState &w, uint32_t releaser);
 
+    /** Sentinel "no thread" tid: the scan origin at block start and
+     *  after a rank-gate wake. */
+    static constexpr uint32_t kNoThread = ReadySet::kNone;
+
+    /**
+     * The block's one resume decision, taken by run() and by every
+     * parking or exiting thread. On the default path it claims the
+     * smallest ready tid strictly after @p last in cyclic flat-tid
+     * order (kNoThread: from tid 0); with a policy installed the pick
+     * is the policy's. It counts the resume and reports it to the
+     * policy. @return The claimed thread's fiber, or nullptr when no
+     * thread is live or none is ready.
+     */
+    Fiber *claimNext(uint32_t last);
+
+    /** Hand the parked running thread @p tid's turn to the next ready
+     *  fiber, or return to run() when none is ready. */
+    void suspend(uint32_t tid);
+
     /** Park the running fiber @p tid on @p waiters (event @p ev for
-     *  the policy hook) and yield. */
+     *  the policy hook) and suspend it. */
     void parkOn(WaitSet &waiters, uint32_t tid, SchedEvent ev);
 
     /** Park the running fiber @p tid on warp @p w's collective and
-     *  yield. */
+     *  suspend it. */
     void parkOnWarp(WarpState &w, uint32_t tid);
 
     /** Move every tid on @p waiters back to the ready set, reporting
@@ -584,6 +588,8 @@ class BlockState
     ReadySet ready_;
     WaitSet bar_waiters_;
     WaitSet gate_waiters_;
+    std::span<const std::unique_ptr<Fiber>> fibers_; //!< during run()
+    uint64_t resumes_ = 0; //!< this run's resumes, for sim.fiber_switches
 
     // Analysis hooks: null on the production path (a single untaken
     // branch per decision point / access).

@@ -4,9 +4,10 @@
  * scheduler, plus the instrumentation hooks a schedule-exploration
  * engine needs to reconstruct what a given resume order did.
  *
- * The block runner (Device::runBlockLocal) makes exactly one kind of
- * scheduling decision: which ready fiber to resume next, made every
- * time the running fiber parks on an event or exits. By default that
+ * The block scheduler (BlockState::claimNext) makes exactly one kind
+ * of scheduling decision: which ready fiber to resume next, made at
+ * block start, after a rank-gate wake and every time the running fiber
+ * parks on an event or exits. By default that
  * pick is the cyclic lowest-next flat tid — the bit-identical
  * determinism contract every golden fixture pins. Installing a policy
  * (Device::setSchedulePolicyFactory) reroutes the pick through

@@ -82,7 +82,8 @@ struct LaunchConfig {
 
 /**
  * Thrown inside kernel threads when the NVM model's injected crash
- * fires; unwinds the thread's fiber back to the block runner.
+ * fires; unwinds the thread's kernel to its fiber entry, which retires
+ * the thread.
  */
 struct SimCrash {
 };

@@ -440,8 +440,8 @@ TEST(AnalysisTest, ExplorerCellSweepPassesOnMain)
 // ---------------------------------------------------------------------
 
 /**
- * At 2 workers concurrent blocks park on the rank gate and
- * wakeGateParked() hands them to the policy. Per seed the whole run —
+ * At 2 workers concurrent blocks park on the rank gate and the
+ * runner's gate wake (BlockState::run) hands them to the policy. Per seed the whole run —
  * gate parks included — must replay bit-identically; the deterministic
  * seed class must match the unpoliced engine exactly.
  */

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the fiber substrate: switching, yielding, interleaved
- * scheduling, re-arming in place and deep-call correctness.
+ * scheduling, fiber-to-fiber hand-offs, re-arming in place and
+ * deep-call correctness.
  */
 
 #include <memory>
@@ -212,6 +213,116 @@ TEST(FiberTest, RearmedFibersInterleave)
             EXPECT_TRUE(f->finished());
     }
     EXPECT_EQ(trace, "abcABCabcABCabcABC");
+}
+
+TEST(FiberTest, HandOffChainReturnsToTheResumerOnce)
+{
+    // The resumer enters fiber 0 once; each fiber hands off to the
+    // next and the last one yields. N fiber runs take one resume, N - 1
+    // hand-offs and one switch back: N + 1 context switches, where a
+    // resume per fiber would take 2N. The second pass resumes every
+    // parked fiber directly so each finishes back to the resumer.
+    constexpr int kFibers = 4;
+    std::string trace;
+    int current_mismatches = 0;
+    std::vector<std::unique_ptr<Fiber>> fibers;
+    for (int id = 0; id < kFibers; ++id) {
+        fibers.push_back(std::make_unique<Fiber>([&, id] {
+            if (Fiber::current() != fibers[id].get())
+                ++current_mismatches;
+            trace += static_cast<char>('a' + id);
+            if (id + 1 < kFibers)
+                Fiber::switchTo(*fibers[id + 1]);
+            else
+                Fiber::yield();
+            trace += static_cast<char>('A' + id);
+        }));
+    }
+    fibers[0]->resume();
+    EXPECT_EQ(trace, "abcd") << "resume() returned before the chain ended";
+    EXPECT_EQ(Fiber::current(), nullptr);
+    for (auto &f : fibers) {
+        EXPECT_TRUE(f->started());
+        EXPECT_FALSE(f->finished());
+    }
+    for (auto &f : fibers) {
+        f->resume();
+        EXPECT_TRUE(f->finished());
+    }
+    EXPECT_EQ(trace, "abcdABCD");
+    EXPECT_EQ(current_mismatches, 0);
+}
+
+TEST(FiberTest, FinishedRunHandsOffToAParkedFiber)
+{
+    // b parks (yields to its first resumer); a's run then finishes by
+    // naming b, and b must finish back to a's resumer, the one still
+    // waiting, not the resume() that first entered b. Re-armed, both
+    // run the chain again from the same stack frames.
+    std::string trace;
+    const void *frames[2] = {nullptr, nullptr};
+    int moved = 0;
+    auto note_frame = [&](int id) {
+        const void *frame = __builtin_frame_address(0);
+        if (frames[id] == nullptr)
+            frames[id] = frame;
+        else if (frame != frames[id])
+            ++moved;
+    };
+    Fiber b([&] {
+        note_frame(1);
+        trace += 'b';
+        Fiber::yield();
+        trace += 'B';
+    });
+    Fiber a([&]() -> Fiber * {
+        note_frame(0);
+        trace += 'a';
+        return &b;
+    });
+    for (int run = 0; run < 3; ++run) {
+        a.rearm();
+        b.rearm();
+        b.resume();
+        EXPECT_FALSE(b.finished());
+        a.resume();
+        EXPECT_TRUE(a.finished()) << "run " << run;
+        EXPECT_TRUE(b.finished()) << "run " << run;
+    }
+    EXPECT_EQ(trace, "baBbaBbaB");
+    EXPECT_EQ(moved, 0) << "runs that started on a different frame";
+}
+
+TEST(FiberDeathTest, HandingOffToAFinishedFiberPanics)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_DEATH(
+        {
+            Fiber done([] {});
+            done.resume();
+            Fiber fiber([&] { Fiber::switchTo(done); });
+            fiber.resume();
+        },
+        "handing off to a finished fiber");
+    EXPECT_DEATH(
+        {
+            Fiber done([] {});
+            done.resume();
+            Fiber fiber([&]() -> Fiber * { return &done; });
+            fiber.resume();
+        },
+        "handing off to a finished fiber");
+}
+
+TEST(FiberDeathTest, HandingOffToTheRunningFiberPanics)
+{
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_DEATH(
+        {
+            Fiber fiber([] { Fiber::switchTo(*Fiber::current()); });
+            fiber.resume();
+        },
+        "fiber handing off to itself");
 }
 
 } // namespace

@@ -471,5 +471,30 @@ TEST(PersistLogNvmTest, ArenaResetTombstonesTheLog)
     EXPECT_GT(log->stats().tombstones_appended, 0u);
 }
 
+TEST(PersistLogNvmDeathTest, RestoreRejectsAnEntryWrappingPastTheArena)
+{
+    // A CRC-valid entry whose key + size wraps past 2^64 must not pass
+    // the arena bound and write below the shadow and the arena.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    TempDir dir;
+    std::string path = dir.file("log");
+    {
+        auto log = PersistLog::open(path, {}, true);
+        ASSERT_NE(log, nullptr);
+        const uint8_t payload[16] = {};
+        log->append(~uint64_t{0} - 7, payload, sizeof(payload));
+        log->flush();
+    }
+    EXPECT_DEATH(
+        {
+            GlobalMemory mem(1 << 16);
+            NvmCache nvm(mem, NvmParams{});
+            auto log = PersistLog::open(path, {}, false);
+            nvm.attachPersistLog(log.get());
+            nvm.restoreFromLog();
+        },
+        "beyond the arena");
+}
+
 } // namespace
 } // namespace gpulp

@@ -13,6 +13,7 @@
  */
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -266,8 +267,9 @@ TEST(SchedTest, NotifyAbortWakesParkedGateWaiter)
  * thread 1 completes it, which pins the moment) just before thread 1's
  * own atomic. Thread 1 must queue behind thread 0 instead of taking
  * leadership first, or the atomic order — and every cycle count that
- * follows — would hinge on host timing. The loop below is the block
- * runner's (Device::runBlockLocal) without policy or crash handling.
+ * follows — would hinge on host timing. The fibers run under the block
+ * runner's loop (BlockState::run); their entries are the runner's
+ * (Device::WorkerState::runThread) without crash handling.
  */
 TEST(SchedTest, GateLeadershipFollowsTidOrderNotFrontierTiming)
 {
@@ -283,29 +285,17 @@ TEST(SchedTest, GateLeadershipFollowsTidOrderNotFrontierTiming)
     uint32_t seen[2] = {~0u, ~0u};
     ThreadCtx ctx0(block, Dim3(0), 0);
     ThreadCtx ctx1(block, Dim3(1), 1);
-    ThreadCtx *ctxs[2] = {&ctx0, &ctx1};
-    Fiber f0([&] { seen[0] = ctx0.atomicAdd(counter.addrOf(0), 1); });
-    Fiber f1([&] {
+    std::unique_ptr<Fiber> fibers[2];
+    fibers[0] = std::make_unique<Fiber>([&] {
+        seen[0] = ctx0.atomicAdd(counter.addrOf(0), 1);
+        return block.exitThread(ctx0);
+    });
+    fibers[1] = std::make_unique<Fiber>([&] {
         gate.complete(0);
         seen[1] = ctx1.atomicAdd(counter.addrOf(0), 1);
+        return block.exitThread(ctx1);
     });
-    Fiber *fibers[2] = {&f0, &f1};
-
-    uint32_t last = BlockState::kNoThread;
-    while (block.liveThreads() > 0) {
-        uint32_t t = block.popReady(last);
-        if (t == BlockState::kNoThread) {
-            ASSERT_GT(block.gateParkedThreads(), 0u) << "deadlock";
-            ASSERT_TRUE(gate.awaitLeader(1, [] { return false; }));
-            block.wakeGateParked();
-            last = BlockState::kNoThread;
-            continue;
-        }
-        fibers[t]->resume();
-        if (fibers[t]->finished())
-            block.onThreadExit(*ctxs[t]);
-        last = t;
-    }
+    block.run(fibers);
 
     EXPECT_EQ(seen[0], 0u) << "thread 0 parked first, so it leads";
     EXPECT_EQ(seen[1], 1u);

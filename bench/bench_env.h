@@ -2,9 +2,7 @@
  * @file
  * Shared environment/CLI handling for every bench main.
  *
- * Before this header existed each bench read GPULP_SCALE on its own and
- * table5 re-parsed --scale with atof (silently accepting garbage). The
- * single entry point benchCli() now:
+ * The single entry point benchCli():
  *
  *  - seeds the scale from GPULP_SCALE (benchScaleFromEnv) and lets
  *    --scale override it, both via parseScaleOrDie so a typo dies loudly
@@ -26,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 
 #include "harness/driver.h"
 #include "obs/counters.h"
@@ -39,6 +38,7 @@ struct BenchCli {
     double scale = 1.0;               //!< workload scale in (0, 1]
     const char *json_path = nullptr;  //!< --json PATH or nullptr
     const char *trace_path = nullptr; //!< --trace PATH or nullptr
+    const char *view = nullptr;       //!< --view NAME (paper_tables)
     std::chrono::steady_clock::time_point start; //!< set by benchCli()
 
     /** Wall-clock seconds since benchCli() returned. */
@@ -54,9 +54,10 @@ struct BenchCli {
 /**
  * Parse the common bench flags and arm observability. Exits with usage
  * on unknown arguments; fatal on malformed --scale / GPULP_SCALE.
+ * @p takes_view also accepts paper_tables' --view NAME.
  */
 inline BenchCli
-benchCli(const char *bench, int argc, char **argv)
+benchCli(const char *bench, int argc, char **argv, bool takes_view = false)
 {
     BenchCli cli;
     cli.bench = bench;
@@ -68,11 +69,14 @@ benchCli(const char *bench, int argc, char **argv)
             cli.json_path = argv[++i];
         } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
             cli.trace_path = argv[++i];
+        } else if (takes_view && std::strcmp(argv[i], "--view") == 0 &&
+                   i + 1 < argc) {
+            cli.view = argv[++i];
         } else {
             std::fprintf(stderr,
                          "usage: %s [--scale F] [--json PATH] "
-                         "[--trace PATH]\n",
-                         bench);
+                         "[--trace PATH]%s\n",
+                         bench, takes_view ? " [--view NAME]" : "");
             std::exit(2);
         }
     }
@@ -100,12 +104,13 @@ benchFlushTrace()
 }
 
 /**
- * Finish a bench run: flush the trace and, for benches without a
- * richer JSON report of their own, write the generic
- * {bench, scale, wall_seconds, counters} object to --json.
+ * Finish a bench run: flush the trace and write the generic
+ * {bench, scale, wall_seconds, counters} object to --json; @p members,
+ * when set, writes the bench's own members before the counters.
  */
 inline void
-benchFinish(const BenchCli &cli)
+benchFinish(const BenchCli &cli,
+            const std::function<void(std::FILE *)> &members = nullptr)
 {
     const double wall_seconds = cli.wallSeconds();
     benchFlushTrace();
@@ -121,6 +126,8 @@ benchFinish(const BenchCli &cli)
     std::fprintf(f, "  \"bench\": \"%s\",\n", cli.bench);
     std::fprintf(f, "  \"scale\": %.4f,\n", cli.scale);
     std::fprintf(f, "  \"wall_seconds\": %.3f,\n", wall_seconds);
+    if (members)
+        members(f);
     std::fprintf(f, "  ");
     obs::writeCountersJson(obs::snapshotCounters(), f, "  ");
     std::fprintf(f, "\n}\n");

@@ -313,18 +313,7 @@ main(int argc, char **argv)
                 shape_ok ? "yes" : "NO", lazy_ov * 100, epoch_ov * 100,
                 std::min(strict_ov, eager_ov) * 100);
 
-    benchFlushTrace();
-    if (cli.json_path != nullptr) {
-        std::FILE *f = std::fopen(cli.json_path, "w");
-        if (f == nullptr) {
-            std::fprintf(stderr, "cannot open %s for writing\n",
-                         cli.json_path);
-            return 1;
-        }
-        std::fprintf(f, "{\n");
-        std::fprintf(f, "  \"bench\": \"matrix_persistency\",\n");
-        std::fprintf(f, "  \"scale\": %.4f,\n", cli.scale);
-        std::fprintf(f, "  \"wall_seconds\": %.3f,\n", cli.wallSeconds());
+    benchFinish(cli, [&](std::FILE *f) {
         std::fprintf(f, "  \"shape_ok\": %s,\n",
                      shape_ok ? "true" : "false");
         std::fprintf(f, "  \"models\": [");
@@ -358,11 +347,6 @@ main(int argc, char **argv)
             std::fprintf(f, "]}%s\n", r + 1 < rows.size() ? "," : "");
         }
         std::fprintf(f, "  ],\n");
-        std::fprintf(f, "  ");
-        obs::writeCountersJson(obs::snapshotCounters(), f, "  ");
-        std::fprintf(f, "\n}\n");
-        std::fclose(f);
-        std::printf("\nwrote %s\n", cli.json_path);
-    }
+    });
     return shape_ok ? 0 : 1;
 }

@@ -2,27 +2,11 @@
 
 #include <algorithm>
 
+#include "common/fnv.h"
 #include "obs/counters.h"
 #include "sim/exec.h"
 
 namespace gpulp {
-
-namespace {
-
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr uint64_t kFnvPrime = 0x100000001b3ull;
-
-uint64_t
-fnvStep(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xff;
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
-} // namespace
 
 // ---------------------------------------------------------------------
 // TraceCollector

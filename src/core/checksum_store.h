@@ -69,6 +69,8 @@ struct StoreStats {
     uint64_t stash_inserts = 0;//!< cuckoo/bucket2 cycle fallbacks
     uint64_t displacements = 0;//!< bucket2 move-to-alternate-bucket events
     uint64_t opt_retries = 0;  //!< bucket2opt optimistic restarts
+
+    bool operator==(const StoreStats &) const = default;
 };
 
 /**

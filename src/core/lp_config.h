@@ -90,6 +90,8 @@ struct LpConfig {
      */
     double load_factor = 0.0; // 0 => per-table default
 
+    bool operator==(const LpConfig &) const = default;
+
     /** The paper's final recommended configuration (Sec. VII-1). */
     static LpConfig
     scalable()

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdlib>
 
+#include "common/fnv.h"
+
 namespace gpulp {
 
 WorkloadBench::WorkloadBench(const std::string &name, double scale)
@@ -59,15 +61,14 @@ WorkloadBench::measure(LpConfig cfg)
     return run;
 }
 
-std::vector<MeasuredRun>
-measureSuite(std::vector<std::unique_ptr<WorkloadBench>> &benches,
-             LpConfig cfg)
+uint64_t
+digestRuns(std::span<const MeasuredRun> runs)
 {
-    std::vector<MeasuredRun> runs;
-    runs.reserve(benches.size());
-    for (auto &bench : benches)
-        runs.push_back(bench->measure(cfg));
-    return runs;
+    uint64_t h = kFnvOffset;
+    for (const MeasuredRun &r : runs)
+        forEachRunCount(r,
+                        [&](const char *, uint64_t v) { h = fnvStep(h, v); });
+    return h;
 }
 
 std::vector<std::unique_ptr<WorkloadBench>>

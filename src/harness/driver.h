@@ -13,6 +13,7 @@
 #define GPULP_HARNESS_DRIVER_H
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,7 +34,51 @@ struct MeasuredRun {
     uint64_t num_blocks = 0;
     MemTrafficStats baseline_traffic;
     MemTrafficStats lp_traffic;
+
+    bool operator==(const MeasuredRun &) const = default;
 };
+
+/** Call @p fn(name, value) for every integer result of @p run: the one
+ *  field list behind digestRuns() and bench/paper_tables' JSON cells. */
+template <typename Fn>
+void
+forEachRunCount(const MeasuredRun &run, Fn &&fn)
+{
+    const StoreStats &s = run.store_stats;
+    const MemTrafficStats &b = run.baseline_traffic, &l = run.lp_traffic;
+    fn("baseline_cycles", run.baseline_cycles);
+    fn("lp_cycles", run.lp_cycles);
+    fn("inserts", s.inserts);
+    fn("collisions", s.collisions);
+    fn("probes", s.probes);
+    fn("kicks", s.kicks);
+    fn("stash_inserts", s.stash_inserts);
+    fn("displacements", s.displacements);
+    fn("opt_retries", s.opt_retries);
+    fn("lp_footprint_bytes", run.lp_footprint_bytes);
+    fn("output_bytes", run.output_bytes);
+    fn("blocks", run.num_blocks);
+    fn("baseline_loads", b.global_loads);
+    fn("baseline_stores", b.global_stores);
+    fn("baseline_atomics", b.global_atomics);
+    fn("baseline_bytes_read", b.bytes_read);
+    fn("baseline_bytes_written", b.bytes_written);
+    fn("baseline_atomic_conflicts", b.atomic_conflicts);
+    fn("baseline_atomic_wait_cycles", b.atomic_wait_cycles);
+    fn("lp_loads", l.global_loads);
+    fn("lp_stores", l.global_stores);
+    fn("lp_atomics", l.global_atomics);
+    fn("lp_bytes_read", l.bytes_read);
+    fn("lp_bytes_written", l.bytes_written);
+    fn("lp_atomic_conflicts", l.atomic_conflicts);
+    fn("lp_atomic_wait_cycles", l.atomic_wait_cycles);
+}
+
+/**
+ * FNV-1a over every integer result of @p runs, in order: one value that
+ * moves when any simulated result of the runs moves.
+ */
+uint64_t digestRuns(std::span<const MeasuredRun> runs);
 
 /**
  * Per-workload measurement context: device + initialized workload +
@@ -57,12 +102,6 @@ class WorkloadBench
     /** Baseline kernel time (first call runs the kernel). */
     Cycles baselineCycles();
 
-    /** Baseline traffic counters (valid after baselineCycles()). */
-    const MemTrafficStats &baselineTraffic() const
-    {
-        return baseline_traffic_;
-    }
-
     /**
      * Measure one LP configuration. A zero cfg.load_factor is replaced
      * by the workload's calibrated per-table default.
@@ -77,13 +116,6 @@ class WorkloadBench
     Cycles baseline_cycles_ = 0;
     MemTrafficStats baseline_traffic_;
 };
-
-/**
- * Measure one configuration across the whole suite, reusing a list of
- * prepared benches. Returns runs in suite order.
- */
-std::vector<MeasuredRun> measureSuite(
-    std::vector<std::unique_ptr<WorkloadBench>> &benches, LpConfig cfg);
 
 /** Prepare benches for every workload in the suite at @p scale. */
 std::vector<std::unique_ptr<WorkloadBench>> makeSuite(double scale = 1.0);

@@ -112,6 +112,8 @@ struct MemTrafficStats {
 
     /** Total DRAM bytes moved. */
     uint64_t totalBytes() const { return bytes_read + bytes_written; }
+
+    bool operator==(const MemTrafficStats &) const = default;
 };
 
 /**

@@ -19,6 +19,7 @@
 #include "analysis/explorer.h"
 #include "analysis/policies.h"
 #include "analysis/race.h"
+#include "common/fnv.h"
 #include "core/lp_config.h"
 #include "core/recovery.h"
 #include "core/runtime.h"
@@ -30,18 +31,6 @@
 
 namespace gpulp {
 namespace {
-
-/** FNV-1a over a byte range, used to fingerprint device memory. */
-uint64_t
-fnv1a(const char *data, size_t len)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (size_t i = 0; i < len; ++i) {
-        h ^= static_cast<unsigned char>(data[i]);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 // ---------------------------------------------------------------------
 // The mutation kernel

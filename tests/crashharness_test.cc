@@ -9,13 +9,13 @@
 
 #include <cstdio>
 #include <fstream>
-#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "harness/crashharness.h"
+#include "test_files.h"
 
 namespace gpulp {
 namespace {
@@ -91,31 +91,6 @@ TEST(CrashHarnessTest, DeterministicAcrossRuns)
 // ---------------------------------------------------------------------
 // Hand-off readers under truncation and bit flips
 // ---------------------------------------------------------------------
-
-/** Every truncation of @p file, @p file padded by one byte, and every
- *  single-bit flip of it. */
-std::vector<std::string>
-corruptionsOf(const std::string &file)
-{
-    std::vector<std::string> out;
-    for (size_t len = 0; len < file.size(); ++len)
-        out.push_back(file.substr(0, len));
-    out.push_back(file + '\0');
-    for (size_t at = 0; at < file.size(); ++at) {
-        for (int bit = 0; bit < 8; ++bit) {
-            out.push_back(file);
-            out.back()[at] = static_cast<char>(out.back()[at] ^ (1 << bit));
-        }
-    }
-    return out;
-}
-
-std::string
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return {std::istreambuf_iterator<char>(in), {}};
-}
 
 TEST(CrashHarnessTest, HandOffReadersRejectOrReadBackEveryCorruption)
 {

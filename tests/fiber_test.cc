@@ -132,11 +132,12 @@ TEST(FiberTest, NestedFiberResume)
         trace += "o1";
         inner.resume();
         trace += "o2";
-        EXPECT_EQ(Fiber::current(), nullptr ? nullptr : Fiber::current());
+        EXPECT_EQ(Fiber::current(), &outer);
         inner.resume();
         trace += "o3";
     });
     outer.resume();
+    EXPECT_EQ(Fiber::current(), nullptr);
     EXPECT_EQ(trace, "o1i1o2i2o3");
     EXPECT_TRUE(outer.finished());
     EXPECT_TRUE(inner.finished());

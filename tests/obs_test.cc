@@ -22,6 +22,7 @@
 #include "harness/faultcampaign.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
+#include "test_files.h"
 
 namespace gpulp::obs {
 namespace {
@@ -168,22 +169,6 @@ parseJson(const std::string &text)
     p.value();
     p.ws();
     return p.ok && p.pos == p.text.size();
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr) << path;
-    std::string out;
-    if (f != nullptr) {
-        char buf[4096];
-        size_t n;
-        while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-            out.append(buf, n);
-        std::fclose(f);
-    }
-    return out;
 }
 
 std::string
@@ -352,7 +337,7 @@ TEST_F(ObsTest, TraceChromeJsonParsesBack)
     EXPECT_EQ(traceEventCount(), 3u);
     ASSERT_TRUE(flushTrace());
 
-    std::string chrome = readFile(path);
+    std::string chrome = slurp(path);
     EXPECT_TRUE(parseJson(chrome)) << chrome;
     EXPECT_NE(chrome.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(chrome.find("\"ph\": \"X\""), std::string::npos);
@@ -360,7 +345,7 @@ TEST_F(ObsTest, TraceChromeJsonParsesBack)
     EXPECT_NE(chrome.find("\"torn_lines\": 3"), std::string::npos);
 
     // The JSONL sidecar: one JSON object per line.
-    std::string jsonl = readFile(path + ".jsonl");
+    std::string jsonl = slurp(path + ".jsonl");
     size_t lines = 0, start = 0;
     while (start < jsonl.size()) {
         size_t nl = jsonl.find('\n', start);
@@ -411,7 +396,7 @@ TEST_F(ObsTest, ConcurrentSpansGetPerThreadTracks)
         t.join();
     EXPECT_EQ(traceEventCount(), kThreads * 50u);
     ASSERT_TRUE(flushTrace());
-    EXPECT_TRUE(parseJson(readFile(tracePath())));
+    EXPECT_TRUE(parseJson(slurp(tracePath())));
 }
 
 // ---------------------------------------------------------------------
@@ -441,7 +426,7 @@ TEST_F(ObsTest, FaultCampaignJsonEmbedsCounters)
     ASSERT_NE(f, nullptr);
     writeCampaignJson(result, f);
     std::fclose(f);
-    std::string json = readFile(path);
+    std::string json = slurp(path);
     EXPECT_TRUE(parseJson(json)) << json;
     EXPECT_NE(json.find("\"counters\""), std::string::npos);
     EXPECT_NE(json.find("\"store.array.inserts\""), std::string::npos);

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fnv.h"
 #include "core/lp_config.h"
 #include "core/runtime.h"
 #include "workloads/megakv.h"
@@ -23,18 +24,6 @@ namespace {
 
 /** Worker counts every determinism test sweeps. */
 const uint32_t kWorkerCounts[] = {1, 2, 8};
-
-/** FNV-1a over a byte range, used to fingerprint device memory. */
-uint64_t
-fnv1a(const char *data, size_t len)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (size_t i = 0; i < len; ++i) {
-        h ^= static_cast<unsigned char>(data[i]);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 /** Everything one run produced that must not depend on worker count. */
 struct Observed {

@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the file-backed persist log: CRC framing, torn-tail
  * truncation, corrupt-entry rejection, tombstones, compaction,
- * index-rebuild determinism, and the NvmCache restore path a crashed
- * process's successor runs.
+ * index-rebuild determinism, every truncation and bit flip of a small
+ * log, and the NvmCache restore path a crashed process's successor runs.
  */
 
 #include <gtest/gtest.h>
@@ -11,15 +11,20 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "mem/memory.h"
 #include "nvm/nvm_cache.h"
 #include "nvm/persist_log.h"
+#include "test_files.h"
 
 namespace gpulp {
 namespace {
@@ -377,6 +382,52 @@ TEST(PersistLogTest, IndexRebuildIsDeterministic)
         ASSERT_TRUE(first->get(compacted[i].first, &x));
         ASSERT_TRUE(second->get(b[i].first, &y));
         EXPECT_EQ(x, y);
+    }
+}
+
+TEST(PersistLogTest, EveryCorruptionIsRejectedOrServesAppendedPayloads)
+{
+    // A damaged log must fail to open with a diagnostic, or serve for
+    // each key it indexes a payload appended for that key; restoring it
+    // into an arena must stay in bounds.
+    TempDir dir;
+    const std::string path = dir.file("log");
+    std::map<uint64_t, std::vector<std::vector<uint8_t>>> appended;
+    {
+        auto log = PersistLog::open(path, {}, true);
+        ASSERT_NE(log, nullptr);
+        // 0x80 is overwritten and 0x100 tombstoned.
+        for (auto [key, seed, len] : {std::tuple{0x000, 1, 32},
+                                      {0x080, 2, 16},
+                                      {0x100, 3, 24},
+                                      {0x080, 4, 16}}) {
+            appended[key].push_back(patternPayload(seed, len));
+            log->append(key, appended[key].back().data(), len);
+        }
+        log->appendTombstone(0x100);
+        log->flush();
+    }
+    for (const std::string &bad : corruptionsOf(slurp(path))) {
+        std::ofstream(path, std::ios::binary) << bad;
+        ::testing::internal::CaptureStderr();
+        auto log = PersistLog::open(path, {}, /*truncate=*/false);
+        const std::string stderr_text =
+            ::testing::internal::GetCapturedStderr();
+        if (log == nullptr) {
+            EXPECT_NE(stderr_text, "") << "rejected without a diagnostic";
+            continue;
+        }
+        for (const auto &[key, slot] : log->indexSnapshot()) {
+            std::vector<uint8_t> got;
+            ASSERT_TRUE(log->get(key, &got));
+            const auto &sent = appended[key];
+            EXPECT_NE(std::find(sent.begin(), sent.end(), got), sent.end())
+                << "key " << key << " serves a payload never appended";
+        }
+        GlobalMemory mem(1 << 16);
+        NvmCache nvm(mem, NvmParams{});
+        nvm.attachPersistLog(log.get());
+        nvm.restoreFromLog();
     }
 }
 

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fnv.h"
 #include "core/lp_config.h"
 #include "core/runtime.h"
 #include "fiber/fiber.h"
@@ -29,18 +30,6 @@
 
 namespace gpulp {
 namespace {
-
-/** FNV-1a over a byte range, used to fingerprint device memory. */
-uint64_t
-fnv1a(const char *data, size_t len)
-{
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (size_t i = 0; i < len; ++i) {
-        h ^= static_cast<unsigned char>(data[i]);
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 // ---------------------------------------------------------------------
 // clwb bandwidth accounting

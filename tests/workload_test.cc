@@ -253,5 +253,45 @@ TEST(HarnessTest, GlobalArrayBeatsHashedTables)
     EXPECT_EQ(array.store_stats.collisions, 0u);
 }
 
+TEST(HarnessTest, SweepCellsMatchInEitherMeasurementOrder)
+{
+    // bench/paper_tables measures each (workload, config) cell once on
+    // one suite for every view, so no cell may depend on the cells run
+    // before it. The configs cover every table kind, lock mode,
+    // reduction and checksum the views use.
+    const auto quad = TableKind::QuadProbe, cuckoo = TableKind::Cuckoo;
+    const auto bucket2 = TableKind::Bucket2;
+    const auto seq = ReductionKind::SequentialGlobal;
+    const LpConfig configs[] = {
+        LpConfig::naive(quad), LpConfig::naive(cuckoo),
+        LpConfig::naive(bucket2), LpConfig::naive(TableKind::Bucket2Opt),
+        LpConfig::scalable(),
+        {.table = quad, .lock = LockMode::LockBased},
+        {.table = cuckoo, .lock = LockMode::LockBased},
+        {.table = bucket2, .lock = LockMode::LockBased},
+        {.table = quad, .lock = LockMode::NoAtomic},
+        {.table = cuckoo, .lock = LockMode::NoAtomic},
+        {.reduction = seq, .table = quad},
+        {.reduction = seq, .table = cuckoo},
+        {.checksum = ChecksumKind::Parity, .table = quad},
+        {.checksum = ChecksumKind::Modular, .table = quad},
+    };
+    auto suite = makeSuite(0.004);
+    std::vector<std::pair<size_t, LpConfig>> cells;
+    for (const LpConfig &cfg : configs) {
+        for (size_t w = 0; w < suite.size(); ++w)
+            cells.emplace_back(w, cfg);
+    }
+    std::vector<MeasuredRun> forward, reverse(cells.size());
+    for (const auto &[w, cfg] : cells)
+        forward.push_back(suite[w]->measure(cfg));
+    for (size_t i = cells.size(); i-- > 0;)
+        reverse[i] = suite[cells[i].first]->measure(cells[i].second);
+    EXPECT_TRUE(forward == reverse);
+    EXPECT_EQ(digestRuns(forward), digestRuns(reverse));
+    forward.back().lp_traffic.atomic_wait_cycles += 1;
+    EXPECT_NE(digestRuns(forward), digestRuns(reverse));
+}
+
 } // namespace
 } // namespace gpulp

@@ -1,6 +1,10 @@
 #include "reduce.h"
 
+#include <algorithm>
 #include <bit>
+
+#include "obs/counters.h"
+#include "obs/trace.h"
 
 namespace gpulp {
 
@@ -108,33 +112,144 @@ warpReduceFused(ThreadCtx &t, Checksums local)
 
 namespace {
 
-/**
- * Listing 3 around a warp reduction: warp leaders park their results
- * in shared memory, and warp 0 reduces the parked values.
- */
-template <typename WarpReduce>
-Checksums
-blockReduceVia(ThreadCtx &t, Checksums local, WarpReduce warp_reduce)
+/** The fold's argument: a ChecksumKind, or this flag for the fused tree. */
+constexpr uint64_t kFusedFold = uint64_t{1} << 8;
+
+/** One warp tree of the block fold, as its closed form needs it. */
+struct FoldTree {
+    WarpReleaseFn replay; //!< the same tree as a warp collective release
+    uint32_t steps;       //!< shuffle steps, each one treeStep()
+    uint64_t ops;         //!< compute ops per folding lane per step
+    bool sum;             //!< folds the modular half
+    bool parity;          //!< folds the parity half
+};
+
+FoldTree
+foldTreeOf(uint64_t arg)
 {
-    Checksums warp_sum = warp_reduce(local);
+    if (arg == kFusedFold)
+        return {&releaseFusedTree, kTreeSteps, 2, true, true};
+    const auto kind = static_cast<ChecksumKind>(arg);
+    const uint32_t words = kind == ChecksumKind::ModularParity ? 2 : 1;
+    return {&releaseChecksumTree, kTreeSteps * words, 1,
+            kind != ChecksumKind::Parity, kind != ChecksumKind::Modular};
+}
 
-    auto parked =
-        t.sharedArray<uint64_t>(kLpReduceSharedSlot, kWarpSize);
-    if (t.laneId() == 0)
-        parked.set(t.warpId(), packChecksums(warp_sum));
-    t.syncthreads();
+/** What one warp's tree leaves for the rest of the fold. */
+struct WarpFold {
+    uint64_t lead;     //!< lane 0's value (if lane 0 arrived)
+    Cycles lead_cycle; //!< lane 0's cycle after the tree
+    Cycles done;       //!< the latest lane's cycle after the tree
+};
 
-    Checksums result{};
-    if (t.warpId() == 0) {
-        Checksums mine = t.laneId() < t.numWarps()
-                             ? unpackChecksums(parked.get(t.laneId()))
-                             : Checksums{};
-        result = warp_reduce(mine);
+/**
+ * Run @p tree over the lanes in @p mask, whose deposits are
+ * value[lane] and cycles[lane]. A full warp's tree has a closed form:
+ * each step resumes every lane one shuffle after the latest, lane 0
+ * folds at every step, so it stays the latest and ends up holding the
+ * whole warp's fold. Any other warp replays the tree in @p scratch,
+ * whose arg the caller has set.
+ */
+WarpFold
+foldWarp(const FoldTree &tree, uint32_t mask, const uint64_t *value,
+         const Cycles *cycles, const TimingParams &params,
+         WarpLanes &scratch)
+{
+    if (mask == ~0u) {
+        Checksums acc = unpackChecksums(value[0]);
+        Cycles latest = cycles[0];
+        for (uint32_t lane = 1; lane < kWarpSize; ++lane) {
+            const Checksums cs = unpackChecksums(value[lane]);
+            if (tree.sum)
+                acc.sum += cs.sum;
+            if (tree.parity)
+                acc.parity ^= cs.parity;
+            latest = std::max(latest, cycles[lane]);
+        }
+        const Cycles done =
+            latest + tree.steps * (params.shuffle_cycles +
+                                   tree.ops * params.compute_cycles);
+        return {packChecksums(acc), done, done};
     }
-    // Second barrier so a subsequent region in the same kernel can
-    // safely reuse the parked slot.
-    t.syncthreads();
-    return result;
+    scratch.deposited = mask;
+    for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
+        const uint32_t lane =
+            static_cast<uint32_t>(std::countr_zero(bits));
+        scratch.value[lane] = value[lane];
+        scratch.cycles[lane] = cycles[lane];
+    }
+    tree.replay(scratch, params);
+    return {scratch.value[0], scratch.cycles[0], scratch.maxCycle()};
+}
+
+/**
+ * Listing 3 as one block rendezvous release: every warp's tree, warp
+ * leaders parking their results in kLpReduceSharedSlot, a barrier,
+ * warp 0's tree over the parked values, and a second barrier. Thread
+ * 0's slot gets the block's fold. A warp whose lane 0 did not arrive
+ * parks nothing, so warp 0 reads whatever that slot holds.
+ */
+Cycles
+releaseBlockFold(BlockLanes &x, BlockState &block)
+{
+    obs::TraceSpan span("checksum_fold", "core", block.rank(), "block");
+    const TimingParams &p = block.params();
+    const FoldTree tree = foldTreeOf(x.arg);
+    const uint32_t warps = block.numWarps();
+    auto *parked = reinterpret_cast<uint64_t *>(block.sharedRaw(
+        block.sharedSlot(kLpReduceSharedSlot, kWarpSize * sizeof(uint64_t))));
+    WarpLanes scratch;
+    scratch.arg = x.arg;
+
+    Cycles latest = 0; // the first barrier's latest arrival
+    for (uint32_t w = 0; w < warps; ++w) {
+        const uint32_t mask = x.lanes[w];
+        if (mask == 0)
+            continue;
+        const WarpFold f =
+            foldWarp(tree, mask, &x.value[w * kWarpSize],
+                     &x.cycles[w * kWarpSize], p, scratch);
+        latest = std::max(latest, f.done);
+        if (mask & 1) {
+            parked[w] = f.lead;
+            latest = std::max(latest, f.lead_cycle + p.shared_access_cycles);
+        }
+    }
+    const Cycles resumed = latest + p.barrier_cycles;
+    const uint32_t mask0 = x.lanes[0];
+    if (mask0 == 0)
+        return resumed + p.barrier_cycles;
+
+    // Warp 0's lanes below the warp count load one parked value each;
+    // the others fold zero.
+    for (uint32_t lane = 0; lane < kWarpSize; ++lane) {
+        const bool loads = lane < warps;
+        scratch.value[lane] = loads ? parked[lane] : 0;
+        scratch.cycles[lane] =
+            resumed + (loads ? p.shared_access_cycles : 0);
+    }
+    const WarpFold f = foldWarp(tree, mask0, scratch.value.data(),
+                                scratch.cycles.data(), p, scratch);
+    if (mask0 & 1)
+        x.value[0] = f.lead;
+    return f.done + p.barrier_cycles;
+}
+
+/**
+ * Arrive at the block fold and, on flat thread 0, wait for its value.
+ * Counts what Listing 3 models per thread: two barriers, its warp's
+ * tree, and on warp 0 the second tree.
+ */
+Checksums
+foldBlock(ThreadCtx &t, Checksums local, uint64_t arg)
+{
+    t.blockArrive(packChecksums(local), &releaseBlockFold, arg);
+    const uint32_t steps = foldTreeOf(arg).steps;
+    obs::add(obs::Ctr::SimBarrierWaits, 2);
+    obs::add(obs::Ctr::SimShuffles, t.warpId() == 0 ? 2 * steps : steps);
+    if (t.flatThreadIdx() != 0)
+        return Checksums{};
+    return unpackChecksums(t.blockResult());
 }
 
 } // namespace
@@ -142,16 +257,13 @@ blockReduceVia(ThreadCtx &t, Checksums local, WarpReduce warp_reduce)
 Checksums
 blockReduceParallel(ThreadCtx &t, Checksums local, ChecksumKind kind)
 {
-    return blockReduceVia(t, local, [&](Checksums cs) {
-        return warpReduceChecksums(t, cs, kind);
-    });
+    return foldBlock(t, local, static_cast<uint64_t>(kind));
 }
 
 Checksums
 blockReduceParallelFused(ThreadCtx &t, Checksums local)
 {
-    return blockReduceVia(
-        t, local, [&](Checksums cs) { return warpReduceFused(t, cs); });
+    return foldBlock(t, local, kFusedFold);
 }
 
 Checksums

@@ -66,8 +66,17 @@ Checksums warpReduceChecksums(ThreadCtx &t, Checksums local,
 
 /**
  * Block-level parallel reduction (Listing 3): warp reduce, park per-warp
- * results in shared memory, barrier, warp 0 reduces the parked values.
- * The result is valid on flat thread 0. All live threads must call.
+ * results in shared memory, barrier, warp 0 reduces the parked values,
+ * barrier. The result is valid on flat thread 0; every other thread
+ * gets zero checksums. All live threads must call.
+ *
+ * The simulator runs the whole of Listing 3 as one block rendezvous
+ * (ThreadCtx::blockArrive): each thread deposits once, and the last
+ * arriver computes every warp's tree (a full warp's in closed form), the
+ * parking, warp 0's tree and both barriers, charging the cycles and
+ * shuffles the per-warp steps would have. Only flat thread 0 waits for
+ * the value; the others wait at their next device operation, or not at
+ * all if their kernel returns first.
  */
 Checksums blockReduceParallel(ThreadCtx &t, Checksums local,
                               ChecksumKind kind);

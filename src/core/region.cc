@@ -1,7 +1,6 @@
 #include "region.h"
 
 #include "obs/counters.h"
-#include "obs/trace.h"
 
 namespace gpulp {
 
@@ -32,9 +31,8 @@ lpReduceBlock(ThreadCtx &t, const LpContext &lp, const ChecksumAccum &acc)
 void
 lpCommitRegion(ThreadCtx &t, const LpContext &lp, const ChecksumAccum &acc)
 {
-    // One span + counter per block region, recorded by block-thread 0.
-    obs::TraceSpan span("checksum_fold", "core", t.blockRank(), "block",
-                       t.flatThreadIdx() == 0);
+    // One counter per block region, recorded by block-thread 0. The
+    // fold's own span is opened by its release (core/reduce.cc).
     Checksums cs = lpReduceBlock(t, lp, acc);
     if (t.flatThreadIdx() == 0) {
         obs::add(obs::Ctr::CoreRegionCommits);

@@ -75,7 +75,6 @@ Device::WorkerState::beginBlock(const KernelFn &fn, const LaunchConfig &cfg,
                                 uint32_t n)
 {
     kernel = &fn;
-    crashed = false;
     // ThreadCtx is trivially destructible: clear() keeps the capacity,
     // so this constructs in place without allocating.
     ctxs.clear();
@@ -99,6 +98,7 @@ Device::WorkerState::beginBlock(const KernelFn &fn, const LaunchConfig &cfg,
 Fiber *
 Device::WorkerState::runThread(uint32_t t)
 {
+    bool crashed = false;
     try {
         (*kernel)(ctxs[t]);
     } catch (const SimCrash &) {
@@ -106,7 +106,7 @@ Device::WorkerState::runThread(uint32_t t)
     } catch (const std::exception &e) {
         GPULP_PANIC("kernel thread threw: %s", e.what());
     }
-    return block.exitThread(ctxs[t]);
+    return block.exitThread(ctxs[t], crashed);
 }
 
 void
@@ -133,11 +133,11 @@ Device::runBlockLocal(const LaunchConfig &cfg, uint64_t rank,
     }
 
     ws.beginBlock(kernel, cfg, n);
-    state.run(ws.fibers);
+    state.run(ws.fibers, ws.ctxs);
 
-    out.crashed = ws.crashed;
+    out.crashed = state.crashed();
     Cycles end = 0;
-    for (const ThreadCtx &ctx : ws.ctxs)
+    for (ThreadCtx &ctx : ws.ctxs)
         end = std::max(end, ctx.now());
     out.local_end = end;
     obs::add(obs::Ctr::SimWarps, (n + kWarpSize - 1) / kWarpSize);

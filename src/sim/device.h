@@ -202,7 +202,6 @@ class Device
         std::vector<std::unique_ptr<Fiber>> fibers;
         size_t stack_bytes;
         const KernelFn *kernel = nullptr; //!< the running block's kernel
-        bool crashed = false; //!< a thread of the block hit SimCrash
     };
 
     /** Everything one block's execution produced, pending rank commit. */

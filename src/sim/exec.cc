@@ -93,7 +93,7 @@ ReadySet::popNextSlow(uint32_t from)
 BlockState::BlockState(GlobalMemory &mem, MemTiming &timing,
                        size_t shared_bytes)
     : mem_(mem), timing_(timing), shared_(shared_bytes), ready_(0),
-      bar_waiters_(0), gate_waiters_(0)
+      rv_waiters_(0), gate_waiters_(0)
 {
 }
 
@@ -113,11 +113,16 @@ BlockState::reset(NvmCache *nvm, Dim3 block_idx, const LaunchConfig &cfg,
     num_threads_ = cfg.threadsPerBlock();
     num_warps_ = (num_threads_ + kWarpSize - 1) / kWarpSize;
     live_ = num_threads_;
+    crashed_ = false;
 
-    bar_arrived_ = 0;
-    bar_generation_ = 0;
-    bar_max_arrival_ = 0;
-    bar_release_cycle_ = 0;
+    rv_arrived_ = 0;
+    rv_generation_ = 0;
+    rv_release_ = nullptr;
+    rv_lanes_.lanes.assign(num_warps_, 0);
+    rv_lanes_.value.resize(num_threads_);
+    rv_lanes_.cycles.resize(num_threads_);
+    rv_lanes_.max_arrival = 0;
+    rv_release_cycle_ = 0;
 
     warps_.assign(num_warps_, WarpState{});
     for (uint32_t w = 0; w < num_warps_; ++w)
@@ -129,7 +134,7 @@ BlockState::reset(NvmCache *nvm, Dim3 block_idx, const LaunchConfig &cfg,
 
     // Every thread starts ready.
     ready_.resetAllReady(num_threads_);
-    bar_waiters_.reset(num_threads_);
+    rv_waiters_.reset(num_threads_);
     gate_waiters_.reset(num_threads_);
 
     policy_ = nullptr;
@@ -156,11 +161,15 @@ collectWaiters(const std::vector<uint64_t> &bits, std::vector<uint32_t> &out)
 } // namespace
 
 void
-BlockState::run(std::span<const std::unique_ptr<Fiber>> fibers)
+BlockState::run(std::span<const std::unique_ptr<Fiber>> fibers,
+                std::span<ThreadCtx> threads)
 {
-    GPULP_ASSERT(fibers.size() >= num_threads_,
-                 "%zu fibers for %u threads", fibers.size(), num_threads_);
+    GPULP_ASSERT(fibers.size() >= num_threads_ &&
+                     threads.size() == num_threads_,
+                 "%zu fibers and %zu thread contexts for %u threads",
+                 fibers.size(), threads.size(), num_threads_);
     fibers_ = fibers;
+    threads_ = threads;
     resumes_ = 0;
     for (;;) {
         if (Fiber *first = claimNext(kNoThread))
@@ -186,24 +195,39 @@ BlockState::run(std::span<const std::unique_ptr<Fiber>> fibers)
              SchedulePolicy::kNoTid);
     }
     fibers_ = {};
+    threads_ = {};
     obs::add(obs::Ctr::SimFiberSwitches, resumes_);
 }
 
 Fiber *
 BlockState::claimNext(uint32_t last)
 {
-    if (live_ == 0)
-        return nullptr;
-    const uint32_t t =
-        policy_ != nullptr
-            ? policy_->pick(ready_, last)
-            : ready_.popNextFrom(last == kNoThread ? 0 : last + 1);
-    if (t == kNoThread)
-        return nullptr;
-    ++resumes_;
-    if (policy_ != nullptr)
-        policy_->onResume(t);
-    return fibers_[t].get();
+    while (live_ > 0) {
+        const uint32_t t =
+            policy_ != nullptr
+                ? policy_->pick(ready_, last)
+                : ready_.popNextFrom(last == kNoThread ? 0 : last + 1);
+        if (t == kNoThread)
+            return nullptr;
+        if (policy_ != nullptr)
+            policy_->onResume(t);
+        ThreadCtx &thread = threads_[t];
+        if (!thread.finished_) {
+            ++resumes_;
+            return fibers_[t].get();
+        }
+        // Its fiber has nothing left to run: do in place what resuming
+        // it would have done, in the same order. The woken thread's
+        // crash check would unwind it before it took the release cycle.
+        thread.awaiting_ = false;
+        if (nvm_ != nullptr && nvm_->crashPending())
+            crashed_ = true;
+        else
+            thread.cycles_ = rv_release_cycle_;
+        retire(thread);
+        last = t;
+    }
+    return nullptr;
 }
 
 void
@@ -284,7 +308,24 @@ BlockState::wakeWarp(WarpState &w, SchedEvent ev, uint32_t releaser)
 }
 
 Fiber *
-BlockState::exitThread(ThreadCtx &thread)
+BlockState::exitThread(ThreadCtx &thread, bool crashed)
+{
+    crashed_ = crashed_ || crashed;
+    if (thread.awaiting_) {
+        // Parked where it arrived would have left it: on the
+        // rendezvous wait list, live, until a pick retires it.
+        thread.finished_ = true;
+        if (policy_ != nullptr)
+            policy_->onPark(thread.flat_tid_, rendezvousEvent());
+        rv_waiters_.park(thread.flat_tid_);
+    } else {
+        retire(thread);
+    }
+    return claimNext(thread.flat_tid_);
+}
+
+void
+BlockState::retire(ThreadCtx &thread)
 {
     GPULP_ASSERT(!thread.exited_, "thread exited twice");
     thread.exited_ = true;
@@ -298,13 +339,13 @@ BlockState::exitThread(ThreadCtx &thread)
     if (policy_ != nullptr)
         policy_->onExit(thread.flat_tid_);
 
-    // A departing thread may have been the last straggler a barrier or
-    // a warp collective was waiting for. The exit is not an arrival, so
-    // no releaser tid: the departing thread's later accesses (there are
-    // none) must not be ordered before the woken threads'.
-    maybeReleaseBarrier(SchedulePolicy::kNoTid);
+    // A departing thread may have been the last straggler the
+    // rendezvous or a warp collective was waiting for. The exit is not
+    // an arrival, so no releaser tid: the departing thread's later
+    // accesses (there are none) must not be ordered before the woken
+    // threads'.
+    maybeReleaseRendezvous(SchedulePolicy::kNoTid);
     maybeReleaseWarp(warp, SchedulePolicy::kNoTid);
-    return claimNext(thread.flat_tid_);
 }
 
 size_t
@@ -363,19 +404,61 @@ BlockState::gateOrdering(uint32_t tid)
 }
 
 void
-BlockState::maybeReleaseBarrier(uint32_t releaser)
+BlockState::arrive(ThreadCtx &t, uint64_t value, BlockReleaseFn release,
+                   uint64_t arg)
 {
-    if (bar_arrived_ == 0 || bar_arrived_ != live_)
+    BlockLanes &x = rv_lanes_;
+    const uint32_t tid = t.flat_tid_;
+    if (rv_arrived_ == 0) {
+        rv_release_ = release;
+        x.arg = arg;
+    } else {
+        GPULP_ASSERT(rv_release_ == release && x.arg == arg,
+                     "divergent block rendezvous (argument %llu vs %llu)",
+                     static_cast<unsigned long long>(x.arg),
+                     static_cast<unsigned long long>(arg));
+    }
+    x.value[tid] = value;
+    x.cycles[tid] = t.cycles_;
+    x.max_arrival = std::max(x.max_arrival, t.cycles_);
+    x.lanes[tid / kWarpSize] |= 1u << (tid % kWarpSize);
+    ++rv_arrived_;
+    const uint64_t gen = rv_generation_;
+    maybeReleaseRendezvous(tid);
+    if (rv_generation_ == gen)
+        t.awaiting_ = true;
+    else
+        t.cycles_ = rv_release_cycle_;
+}
+
+void
+BlockState::awaitRelease(ThreadCtx &t)
+{
+    // No other fiber has run since t arrived, so the rendezvous is
+    // still pending: park exactly where the arrival would have parked.
+    const uint64_t gen = rv_generation_;
+    parkOn(rv_waiters_, t.flat_tid_, rendezvousEvent());
+    GPULP_ASSERT(rv_generation_ != gen,
+                 "tid %u woke before its rendezvous released", t.flat_tid_);
+    t.awaiting_ = false;
+    checkCrash();
+    t.cycles_ = rv_release_cycle_;
+}
+
+void
+BlockState::maybeReleaseRendezvous(uint32_t releaser)
+{
+    if (rv_arrived_ == 0 || rv_arrived_ != live_)
         return;
     // Capture the event before the generation bump: waiters parked on
     // generation g are released by the event named g.
-    SchedEvent ev = barrierEvent();
-    bar_release_cycle_ =
-        bar_max_arrival_ + timing_.params().barrier_cycles;
-    bar_arrived_ = 0;
-    bar_max_arrival_ = 0;
-    ++bar_generation_;
-    wake(bar_waiters_, ev, releaser);
+    SchedEvent ev = rendezvousEvent();
+    rv_release_cycle_ = rv_release_(rv_lanes_, *this);
+    rv_arrived_ = 0;
+    rv_lanes_.max_arrival = 0;
+    std::fill(rv_lanes_.lanes.begin(), rv_lanes_.lanes.end(), 0u);
+    ++rv_generation_;
+    wake(rv_waiters_, ev, releaser);
 }
 
 void
@@ -412,6 +495,7 @@ ThreadCtx::atomicCAS(Addr addr, uint32_t compare, uint32_t value)
 uint64_t
 ThreadCtx::atomicCAS64(Addr addr, uint64_t compare, uint64_t value)
 {
+    settle();
     block_.checkCrash();
     block_.gateOrdering(flat_tid_);
     noteAtomic(addr, 8);
@@ -435,6 +519,7 @@ ThreadCtx::atomicExch(Addr addr, uint32_t value)
 uint64_t
 ThreadCtx::atomicExch64(Addr addr, uint64_t value)
 {
+    settle();
     block_.checkCrash();
     block_.gateOrdering(flat_tid_);
     noteAtomic(addr, 8);
@@ -457,6 +542,7 @@ ThreadCtx::atomicAdd(Addr addr, uint32_t delta)
 float
 ThreadCtx::atomicAddF(Addr addr, float delta)
 {
+    settle();
     block_.checkCrash();
     block_.gateOrdering(flat_tid_);
     noteAtomic(addr, 4);
@@ -480,6 +566,7 @@ ThreadCtx::atomicMax(Addr addr, uint32_t value)
 void
 ThreadCtx::clwb(Addr addr)
 {
+    settle();
     block_.checkCrash();
     const TimingParams &p = block_.timing_.params();
     cycles_ += p.clwb_issue_cycles;
@@ -501,6 +588,7 @@ ThreadCtx::clwb(Addr addr)
 void
 ThreadCtx::persistBarrier()
 {
+    settle();
     block_.checkCrash();
     const TimingParams &p = block_.timing_.params();
     if (outstanding_flushes_ > 0) {
@@ -516,6 +604,7 @@ ThreadCtx::persistBarrier()
 void
 ThreadCtx::lockAcquire(Addr addr)
 {
+    settle();
     block_.checkCrash();
     block_.gateOrdering(flat_tid_);
     noteAtomic(addr, 4);
@@ -530,6 +619,7 @@ ThreadCtx::lockAcquire(Addr addr)
 void
 ThreadCtx::lockRelease(Addr addr)
 {
+    settle();
     block_.checkCrash();
     noteAtomic(addr, 4);
     block_.mem_.write<uint32_t>(addr, 0);
@@ -537,30 +627,44 @@ ThreadCtx::lockRelease(Addr addr)
     block_.timing_.holdAddressUntil(addr, cycles_, flat_tid_);
 }
 
+namespace {
+
+/** __syncthreads' release: everyone resumes after the latest arrival. */
+Cycles
+releaseBarrier(BlockLanes &x, BlockState &block)
+{
+    return x.max_arrival + block.params().barrier_cycles;
+}
+
+} // namespace
+
 void
 ThreadCtx::syncthreads()
 {
-    BlockState &b = block_;
-    b.checkCrash();
+    blockArrive(0, &releaseBarrier, 0);
     obs::add(obs::Ctr::SimBarrierWaits);
-    uint64_t gen = b.bar_generation_;
-    b.bar_max_arrival_ = std::max(b.bar_max_arrival_, cycles_);
-    ++b.bar_arrived_;
-    b.maybeReleaseBarrier(flat_tid_);
-    while (b.bar_generation_ == gen) {
-        b.parkOn(b.bar_waiters_, flat_tid_,
-                 SchedEvent{SchedEventKind::Barrier, gen});
-        // Woken either by the release or by a crash drain; re-check so
-        // a latched crash unwinds this fiber instead of re-parking.
-        b.checkCrash();
-    }
-    cycles_ = b.bar_release_cycle_;
+}
+
+void
+ThreadCtx::blockArrive(uint64_t value, BlockReleaseFn release, uint64_t arg)
+{
+    settle();
+    block_.checkCrash();
+    block_.arrive(*this, value, release, arg);
+}
+
+uint64_t
+ThreadCtx::blockResult()
+{
+    settle();
+    return block_.rv_lanes_.value[flat_tid_];
 }
 
 uint64_t
 ThreadCtx::warpCollective(uint64_t value, WarpReleaseFn release,
                           uint64_t arg, uint32_t shuffle_steps)
 {
+    settle();
     BlockState &b = block_;
     b.checkCrash();
     obs::add(obs::Ctr::SimWarpCollectives);

@@ -1,14 +1,25 @@
 /**
  * @file
  * SIMT execution state: per-warp collective state, per-block state
- * (barrier, shared memory) and the ThreadCtx device API that kernels
- * program against.
+ * (block rendezvous, shared memory) and the ThreadCtx device API that
+ * kernels program against.
  *
  * Execution model: every thread of a block runs on its own fiber,
  * scheduled event-driven. Fibers suspend at exactly three places, the
  * points where SIMT hardware requires convergence or ordering:
  *
- *  - __syncthreads(), once per barrier;
+ *  - the block rendezvous. __syncthreads() is one, and so is a whole
+ *    LP region fold (Listing 3): every live thread deposits a value
+ *    and its cycle counter, and the last to arrive runs the release,
+ *    which sets the cycle every thread resumes at (and the fold's
+ *    value). An arrival never parks. The thread waits for the release
+ *    at its next device operation (the wait rule, ThreadCtx::settle)
+ *    instead, and a thread whose kernel returns first waits as a
+ *    finished thread, which the scheduler retires in place when it
+ *    picks it, with no context switch. Fibers are cooperative, so no
+ *    other fiber runs between an arrival and the thread's next device
+ *    operation: parking there makes the same picks, releases and
+ *    policy calls as parking at the arrival;
  *  - a warp collective (ThreadCtx::warpCollective), once per
  *    collective. A single shfl_down is one collective, and so is a
  *    whole shuffle-tree reduction: every lane deposits once, the last
@@ -17,7 +28,7 @@
  *  - the rank gate, before a block's first ordering-sensitive access.
  *
  * A fiber suspends by parking on a wait list keyed to the event that
- * will satisfy it (barrier generation, per-warp collective
+ * will satisfy it (rendezvous generation, per-warp collective
  * generation, rank-gate frontier).
  * Releasing the event moves its waiters back to the ready set; a
  * parked fiber is never resumed just to re-poll. Ready fibers run in
@@ -122,8 +133,32 @@ struct WarpState {
     uint64_t wait_mask = 0;
 };
 
+class BlockState;
+
 /**
- * Flat tids parked on one event (block barrier, rank gate), stored as
+ * The deposits of one block rendezvous, as its release function sees
+ * them. Each live thread deposits its value and cycle counter in its
+ * own slot, indexed by flat tid; the release function may overwrite a
+ * thread's value with its result. A thread reads only its own slot,
+ * and deposits again only after reading it.
+ */
+struct BlockLanes {
+    std::vector<uint32_t> lanes; //!< per warp: bitmask of lanes arrived
+    std::vector<uint64_t> value; //!< per flat tid: deposit in, result out
+    std::vector<Cycles> cycles;  //!< per flat tid: arrival cycle
+    Cycles max_arrival = 0;      //!< latest arrival cycle
+    uint64_t arg = 0;            //!< the rendezvous's argument
+};
+
+/**
+ * A block rendezvous's release function: run once, by the last live
+ * thread to arrive, over every arrival. @return The cycle every thread
+ * of the block resumes at.
+ */
+using BlockReleaseFn = Cycles (*)(BlockLanes &lanes, BlockState &block);
+
+/**
+ * Flat tids parked on one event (block rendezvous, rank gate), stored as
  * a bitmap so waking the whole list is a word-wise OR into the ready
  * set instead of a per-thread walk.
  */
@@ -335,8 +370,8 @@ class ReadySet
 
 /**
  * Per-thread-block execution state shared by the block's ThreadCtx
- * instances: the barrier, warp collective slots, shared memory and
- * progress/deadlock accounting.
+ * instances: the block rendezvous, warp collective slots, shared
+ * memory and progress/deadlock accounting.
  *
  * One instance serves a whole sequence of blocks: reset() starts the
  * next one, reusing every buffer, so a block runner that keeps its
@@ -383,6 +418,12 @@ class BlockState
     /** Number of warps in the block. */
     uint32_t numWarps() const { return num_warps_; }
 
+    /** Timing parameters of the launch. */
+    const TimingParams &params() const { return timing_.params(); }
+
+    /** True once a thread of this block hit an injected crash. */
+    bool crashed() const { return crashed_; }
+
     // Event-driven scheduling (the block runner's interface) ----------------
 
     /**
@@ -397,8 +438,8 @@ class BlockState
 
     /**
      * Run the block's threads to completion (or crash) on @p fibers,
-     * where fibers[t] runs flat tid t and its entry returns
-     * exitThread() of t's ThreadCtx. Resumes the first ready fiber;
+     * where fibers[t] runs @p threads[t] (flat tid t) and its entry
+     * returns exitThread() of it. Resumes the first ready fiber;
      * parking and exiting fibers hand off among themselves, so this
      * regains control only when no thread is ready. It then returns
      * if every thread exited, parks the worker on the rank gate if
@@ -407,15 +448,20 @@ class BlockState
      * panics: the block deadlocked. Adds the resumes to
      * sim.fiber_switches.
      */
-    void run(std::span<const std::unique_ptr<Fiber>> fibers);
+    void run(std::span<const std::unique_ptr<Fiber>> fibers,
+             std::span<ThreadCtx> threads);
 
     /**
-     * Retire a thread whose kernel returned or unwound, and pick the
-     * fiber to hand off to: what a thread's fiber entry returns.
+     * End a thread whose kernel returned, or unwound on an injected
+     * crash (@p crashed), and pick the fiber to hand off to: what a
+     * thread's fiber entry returns. A thread still waiting for the
+     * block rendezvous it arrived at stays live, parked as a finished
+     * thread; the pick that claims it retires it in place. Any other
+     * thread retires now.
      * @return The next ready thread's fiber, or nullptr (back to
      *         run()) when none is ready.
      */
-    Fiber *exitThread(ThreadCtx &thread);
+    Fiber *exitThread(ThreadCtx &thread, bool crashed);
 
     /**
      * Resolve or claim the shared-memory slot @p slot_id of @p bytes
@@ -483,17 +529,40 @@ class BlockState
     }
 
     /**
-     * Release the block barrier if all live threads arrived, moving
-     * its waiters back to the ready set. @p releaser is the arriving
-     * tid whose arrival may complete the barrier, or
-     * SchedulePolicy::kNoTid when called from a thread exit.
+     * Arrive at the block rendezvous: deposit @p value and @p t's cycle
+     * counter, and release it if @p t is the last live thread to
+     * arrive. The releaser resumes at the release cycle at once; any
+     * other arriver is left awaiting the release (ThreadCtx::settle).
+     * Never parks.
      */
-    void maybeReleaseBarrier(uint32_t releaser);
+    void arrive(ThreadCtx &t, uint64_t value, BlockReleaseFn release,
+                uint64_t arg);
+
+    /**
+     * The wait rule's slow path: park @p t until the rendezvous it
+     * arrived at releases, then check for a crash and move its cycle
+     * counter to the release cycle.
+     */
+    void awaitRelease(ThreadCtx &t);
+
+    /**
+     * Release the block rendezvous if all live threads arrived, moving
+     * its waiters back to the ready set. @p releaser is the arriving
+     * tid whose arrival may complete it, or SchedulePolicy::kNoTid when
+     * called from a thread's retirement.
+     */
+    void maybeReleaseRendezvous(uint32_t releaser);
+
+    /**
+     * A thread's exit bookkeeping: it leaves the live counts, and its
+     * departure may release the rendezvous or its warp's collective.
+     */
+    void retire(ThreadCtx &thread);
 
     /**
      * Release warp @p w's collective if all its live lanes arrived:
      * run its release function, then move its waiters back to the
-     * ready set. @p releaser as for maybeReleaseBarrier().
+     * ready set. @p releaser as for maybeReleaseRendezvous().
      */
     void maybeReleaseWarp(WarpState &w, uint32_t releaser);
 
@@ -506,9 +575,11 @@ class BlockState
      * parking or exiting thread. On the default path it claims the
      * smallest ready tid strictly after @p last in cyclic flat-tid
      * order (kNoThread: from tid 0); with a policy installed the pick
-     * is the policy's. It counts the resume and reports it to the
-     * policy. @return The claimed thread's fiber, or nullptr when no
-     * thread is live or none is ready.
+     * is the policy's. It reports the pick to the policy. A claimed
+     * finished thread is retired in place, doing what resuming it
+     * would have done, and the pick repeats from it; any other claim
+     * counts one resume. @return The claimed thread's fiber, or
+     * nullptr when no thread is live or none is ready.
      */
     Fiber *claimNext(uint32_t last);
 
@@ -531,11 +602,12 @@ class BlockState
     /** Move warp @p w's parked lanes back to the ready set. */
     void wakeWarp(WarpState &w, SchedEvent ev, uint32_t releaser);
 
-    /** SchedEvent for the current (pre-increment) barrier generation. */
+    /** SchedEvent for the current (pre-increment) rendezvous
+     *  generation: a barrier and a fold are both one barrier event. */
     SchedEvent
-    barrierEvent() const
+    rendezvousEvent() const
     {
-        return SchedEvent{SchedEventKind::Barrier, bar_generation_};
+        return SchedEvent{SchedEventKind::Barrier, rv_generation_};
     }
 
     /** SchedEvent for warp @p warp_idx's current collective. */
@@ -561,13 +633,18 @@ class BlockState
 
     uint32_t num_threads_ = 0;
     uint32_t num_warps_ = 0;
-    uint32_t live_ = 0;
+    uint32_t live_ = 0; //!< threads not yet retired, finished ones too
+    bool crashed_ = false;
 
-    // Block-wide barrier (generation scheme).
-    uint32_t bar_arrived_ = 0;
-    uint64_t bar_generation_ = 0;
-    Cycles bar_max_arrival_ = 0;
-    Cycles bar_release_cycle_ = 0;
+    // The block rendezvous (generation scheme). A new generation cannot
+    // release before every thread awaiting the previous one has
+    // settled or retired, since each is live and has not arrived, so
+    // one release cycle serves every waiter.
+    uint32_t rv_arrived_ = 0;
+    uint64_t rv_generation_ = 0;
+    BlockReleaseFn rv_release_ = nullptr;
+    BlockLanes rv_lanes_;
+    Cycles rv_release_cycle_ = 0;
 
     std::vector<WarpState> warps_;
 
@@ -583,12 +660,14 @@ class BlockState
     std::vector<SharedSlot> shared_slots_; //!< a block claims only a few
 
     // Scheduler state: threads are in exactly one place — running,
-    // ready, on a wait list (bar_waiters_ / warp.waiters /
-    // gate_waiters_), or exited.
+    // ready, on a wait list (rv_waiters_ / warp.wait_mask /
+    // gate_waiters_), or exited. A finished thread waits on
+    // rv_waiters_ and then in the ready set like any other.
     ReadySet ready_;
-    WaitSet bar_waiters_;
+    WaitSet rv_waiters_;
     WaitSet gate_waiters_;
     std::span<const std::unique_ptr<Fiber>> fibers_; //!< during run()
+    std::span<ThreadCtx> threads_;                   //!< during run()
     uint64_t resumes_ = 0; //!< this run's resumes, for sim.fiber_switches
 
     // Analysis hooks: null on the production path (a single untaken
@@ -684,14 +763,25 @@ class ThreadCtx
     void
     compute(uint64_t ops)
     {
+        settle();
         cycles_ += ops * block_.timing_.params().compute_cycles;
     }
 
     /** Stall this thread for @p cycles raw cycles (dependent latency). */
-    void stall(Cycles cycles) { cycles_ += cycles; }
+    void
+    stall(Cycles cycles)
+    {
+        settle();
+        cycles_ += cycles;
+    }
 
     /** This thread's absolute cycle counter. */
-    Cycles now() const { return cycles_; }
+    Cycles
+    now()
+    {
+        settle();
+        return cycles_;
+    }
 
     /** Timing parameters of the launch. */
     const TimingParams &
@@ -705,8 +795,9 @@ class ThreadCtx
 
     /** Lanes of this thread's warp that have not exited the kernel. */
     uint32_t
-    warpLiveLanes() const
+    warpLiveLanes()
     {
+        settle();
         return block_.warps_[warpId()].live;
     }
 
@@ -717,6 +808,7 @@ class ThreadCtx
     T
     loadAddr(Addr addr)
     {
+        settle();
         block_.checkCrash();
         if (block_.mustOrder(addr, sizeof(T)))
             block_.gateOrdering(flat_tid_);
@@ -732,6 +824,7 @@ class ThreadCtx
     void
     storeAddr(Addr addr, T value)
     {
+        settle();
         block_.checkCrash();
         if (block_.mustOrder(addr, sizeof(T)))
             block_.gateOrdering(flat_tid_);
@@ -821,6 +914,7 @@ class ThreadCtx
     SharedRef<T>
     sharedArray(uint32_t slot_id, size_t count)
     {
+        settle();
         size_t off = block_.sharedSlot(slot_id, count * sizeof(T));
         return SharedRef<T>(this,
                             reinterpret_cast<T *>(block_.sharedRaw(off)),
@@ -829,8 +923,30 @@ class ThreadCtx
 
     // Collectives ------------------------------------------------------------
 
-    /** __syncthreads(): block-wide barrier; aligns cycle counters. */
+    /**
+     * __syncthreads(): block-wide barrier; every thread resumes at the
+     * latest arrival plus barrier_cycles. A block rendezvous, so the
+     * thread waits at its next device operation, not here.
+     */
     void syncthreads();
+
+    /**
+     * Arrive at the block rendezvous with @p value. The last live
+     * thread to arrive runs @p release once over every deposit; it
+     * sets the cycle all threads resume at and may leave a result in
+     * a thread's slot. An arrival never parks: the thread waits for the
+     * release at its next device operation, or, if its kernel returns
+     * first, as a finished thread. All live threads must arrive with
+     * the same @p release and @p arg. Counts no counter.
+     */
+    void blockArrive(uint64_t value, BlockReleaseFn release, uint64_t arg);
+
+    /**
+     * Wait for the rendezvous this thread last arrived at and return
+     * what its release left in this thread's slot (its own deposit,
+     * unless the release overwrote it).
+     */
+    uint64_t blockResult();
 
     /**
      * __shfl_down_sync over the full warp: returns the value deposited
@@ -864,6 +980,20 @@ class ThreadCtx
     friend class BlockState;
     template <typename U>
     friend class SharedRef;
+
+    /**
+     * The wait rule: a thread that arrived at a block rendezvous which
+     * had not released when it left waits for the release here, at the
+     * first device operation after the arrival. Every entry point
+     * through which a kernel can observe state or its cycle counter
+     * settles first.
+     */
+    void
+    settle()
+    {
+        if (awaiting_) [[unlikely]]
+            block_.awaitRelease(*this);
+    }
 
     /** Common implementation for all shuffle widths (64-bit payload). */
     uint64_t shflDownRaw(uint64_t value, uint32_t delta);
@@ -899,6 +1029,7 @@ class ThreadCtx
     uint32_t
     rmw32(Addr addr, Op &&op)
     {
+        settle();
         block_.checkCrash();
         block_.gateOrdering(flat_tid_);
         noteAtomic(addr, 4);
@@ -921,6 +1052,8 @@ class ThreadCtx
     uint32_t flat_tid_;
     Cycles cycles_;
     uint32_t outstanding_flushes_ = 0;
+    bool awaiting_ = false; //!< arrived at the rendezvous, not released
+    bool finished_ = false; //!< kernel returned while awaiting
     bool exited_ = false;
 };
 
@@ -930,6 +1063,7 @@ SharedRef<T>::get(size_t index) const
 {
     GPULP_ASSERT(index < count_, "shared load index %zu out of %zu", index,
                  count_);
+    thread_->settle();
     thread_->noteSharedAccess(slot_id_,
                               static_cast<uint32_t>(index * sizeof(T)),
                               sizeof(T), AccessKind::Load);
@@ -943,6 +1077,7 @@ SharedRef<T>::set(size_t index, T value)
 {
     GPULP_ASSERT(index < count_, "shared store index %zu out of %zu", index,
                  count_);
+    thread_->settle();
     thread_->noteSharedAccess(slot_id_,
                               static_cast<uint32_t>(index * sizeof(T)),
                               sizeof(T), AccessKind::Store);
@@ -956,6 +1091,7 @@ SharedRef<T>::atomicAdd(size_t index, T delta)
 {
     GPULP_ASSERT(index < count_, "shared atomic index %zu out of %zu", index,
                  count_);
+    thread_->settle();
     thread_->noteSharedAccess(slot_id_,
                               static_cast<uint32_t>(index * sizeof(T)),
                               sizeof(T), AccessKind::AtomicRmw);

@@ -38,14 +38,14 @@ class ReadySet;
 
 /** The event classes a fiber can park on / be woken by. */
 enum class SchedEventKind : uint8_t {
-    Barrier,        //!< __syncthreads generation
+    Barrier,        //!< block rendezvous generation (barrier or LP fold)
     WarpCollective, //!< one warp collective (a shuffle or a reduction)
     RankGate,       //!< the parallel engine's cross-block rank gate
 };
 
 /**
  * One park/wake event instance. @c id disambiguates concurrent
- * instances: the barrier generation, (warp index << 32) | generation
+ * instances: the rendezvous generation, (warp index << 32) | generation
  * for a warp collective, and a per-block wake epoch for the rank gate.
  */
 struct SchedEvent {
@@ -90,7 +90,10 @@ class SchedulePolicy
     /** The block is about to run with @p num_threads threads. */
     virtual void onBlockStart(uint32_t num_threads) { (void)num_threads; }
 
-    /** @p tid was chosen by pick() and is about to be resumed. */
+    /**
+     * @p tid was chosen by pick() and is about to be resumed, or, if
+     * its kernel already returned, retired in place (onExit follows).
+     */
     virtual void onResume(uint32_t tid) { (void)tid; }
 
     /** @p tid parked on @p ev (its scheduling segment ends). */

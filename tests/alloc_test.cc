@@ -6,8 +6,10 @@
  */
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <new>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -69,7 +71,25 @@ TEST(SteadyStateAllocTest, LaunchAllocationsDoNotGrowWithBlocksOrThreads)
         params.num_workers = workers;
         Device dev(params);
         // Warm up: the workers grow their fibers, thread contexts and
-        // block buffers to the largest block once.
+        // block buffers to the largest block once. A worker that starts
+        // late can miss every block of a launch, so first give each one
+        // a 256-thread block that holds its worker until all have
+        // started (or a deadline passes).
+        std::atomic<uint32_t> started{0};
+        dev.launch(LaunchConfig(Dim3(workers), Dim3(256)),
+                   [&](ThreadCtx &t) {
+                       if (t.flatThreadIdx() == 0) {
+                           started.fetch_add(1);
+                           const auto deadline =
+                               std::chrono::steady_clock::now() +
+                               std::chrono::seconds(10);
+                           while (started.load() < workers &&
+                                  std::chrono::steady_clock::now() <
+                                      deadline)
+                               std::this_thread::yield();
+                       }
+                       kernel(t);
+                   });
         dev.launch(large, kernel);
         dev.launch(small, kernel);
 

@@ -3,7 +3,8 @@
  * Unit tests for the file-backed persist log: CRC framing, torn-tail
  * truncation, corrupt-entry rejection, tombstones, compaction,
  * index-rebuild determinism, every truncation and bit flip of a small
- * log, and the NvmCache restore path a crashed process's successor runs.
+ * log plus seeded garbage and multi-bit damage, and the NvmCache
+ * restore path a crashed process's successor runs.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/prng.h"
 #include "mem/memory.h"
 #include "nvm/nvm_cache.h"
 #include "nvm/persist_log.h"
@@ -385,11 +387,44 @@ TEST(PersistLogTest, IndexRebuildIsDeterministic)
     }
 }
 
+/**
+ * Seeded damage beyond corruptionsOf(): 200 runs of random garbage of
+ * random lengths, every other one behind @p file's intact file header,
+ * and 1,000 copies of @p file with 2 to 8 distinct bits flipped.
+ */
+std::vector<std::string>
+seededDamageOf(const std::string &file, uint64_t seed)
+{
+    Prng rng(seed);
+    std::vector<std::string> out;
+    for (int i = 0; i < 200; ++i) {
+        std::string garbage(rng.nextBelow(2 * file.size() + 1), '\0');
+        for (char &c : garbage)
+            c = static_cast<char>(rng.nextBelow(256));
+        out.push_back(i % 2 == 0 ? garbage
+                                 : file.substr(0, kFileHeaderBytes) + garbage);
+    }
+    for (int i = 0; i < 1000; ++i) {
+        std::vector<uint64_t> bits;
+        for (uint64_t flips = 2 + rng.nextBelow(7); bits.size() < flips;) {
+            const uint64_t bit = rng.nextBelow(file.size() * 8);
+            if (std::find(bits.begin(), bits.end(), bit) == bits.end())
+                bits.push_back(bit);
+        }
+        out.push_back(file);
+        for (uint64_t bit : bits)
+            out.back()[bit / 8] =
+                static_cast<char>(out.back()[bit / 8] ^ (1 << (bit % 8)));
+    }
+    return out;
+}
+
 TEST(PersistLogTest, EveryCorruptionIsRejectedOrServesAppendedPayloads)
 {
     // A damaged log must fail to open with a diagnostic, or serve for
     // each key it indexes a payload appended for that key; restoring it
-    // into an arena must stay in bounds.
+    // into an arena must stay in bounds. The damage: every truncation
+    // and single-bit flip, seeded random garbage, and multi-bit flips.
     TempDir dir;
     const std::string path = dir.file("log");
     std::map<uint64_t, std::vector<std::vector<uint8_t>>> appended;
@@ -407,7 +442,11 @@ TEST(PersistLogTest, EveryCorruptionIsRejectedOrServesAppendedPayloads)
         log->appendTombstone(0x100);
         log->flush();
     }
-    for (const std::string &bad : corruptionsOf(slurp(path))) {
+    const std::string intact = slurp(path);
+    std::vector<std::string> damaged = corruptionsOf(intact);
+    for (std::string &bad : seededDamageOf(intact, /*seed=*/2024))
+        damaged.push_back(std::move(bad));
+    for (const std::string &bad : damaged) {
         std::ofstream(path, std::ios::binary) << bad;
         ::testing::internal::CaptureStderr();
         auto log = PersistLog::open(path, {}, /*truncate=*/false);

@@ -272,19 +272,19 @@ TEST(SchedTest, GateLeadershipFollowsTidOrderNotFrontierTiming)
     auto counter = ArrayRef<uint32_t>::allocate(mem, 1);
 
     uint32_t seen[2] = {~0u, ~0u};
-    ThreadCtx ctx0(block, Dim3(0), 0);
-    ThreadCtx ctx1(block, Dim3(1), 1);
+    ThreadCtx ctxs[2] = {ThreadCtx(block, Dim3(0), 0),
+                         ThreadCtx(block, Dim3(1), 1)};
     std::unique_ptr<Fiber> fibers[2];
     fibers[0] = std::make_unique<Fiber>([&] {
-        seen[0] = ctx0.atomicAdd(counter.addrOf(0), 1);
-        return block.exitThread(ctx0);
+        seen[0] = ctxs[0].atomicAdd(counter.addrOf(0), 1);
+        return block.exitThread(ctxs[0], /*crashed=*/false);
     });
     fibers[1] = std::make_unique<Fiber>([&] {
         gate.complete(0);
-        seen[1] = ctx1.atomicAdd(counter.addrOf(0), 1);
-        return block.exitThread(ctx1);
+        seen[1] = ctxs[1].atomicAdd(counter.addrOf(0), 1);
+        return block.exitThread(ctxs[1], /*crashed=*/false);
     });
-    block.run(fibers);
+    block.run(fibers, ctxs);
 
     EXPECT_EQ(seen[0], 0u) << "thread 0 parked first, so it leads";
     EXPECT_EQ(seen[1], 1u);

@@ -1,6 +1,7 @@
 #include "reduce.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "obs/counters.h"
@@ -13,6 +14,67 @@ namespace {
 /** Steps of Listing 4's tree: offsets 16, 8, 4, 2, 1. */
 constexpr uint32_t kTreeSteps = std::countr_zero(kWarpSize);
 
+/** The fused tree's argument, beside the ChecksumKind values. */
+constexpr uint64_t kFusedTree = uint64_t{1} << 8;
+
+/**
+ * One shuffle of Listing 4's tree at each offset: the checksum halves
+ * it carries and folds, and the compute ops a folding lane pays.
+ */
+struct TreePass {
+    bool sum;
+    bool parity;
+    uint64_t ops;
+};
+
+/**
+ * Listing 4's tree: its passes, run in order at each offset. The one
+ * description both the replay and a full warp's closed form read.
+ */
+struct Tree {
+    std::array<TreePass, 2> pass;
+    uint32_t passes;
+
+    /** Shuffle steps each lane models (sim.shuffles). */
+    uint32_t steps() const { return kTreeSteps * passes; }
+};
+
+/**
+ * The tree a warp collective or block fold names by @p arg: a
+ * ChecksumKind (one 32-bit shuffle per step per active checksum) or
+ * kFusedTree (both checksums in one 64-bit shuffle per step).
+ */
+Tree
+treeOf(uint64_t arg)
+{
+    constexpr TreePass kSum{true, false, 1};
+    constexpr TreePass kParity{false, true, 1};
+    if (arg == kFusedTree)
+        return {{TreePass{true, true, 2}}, 1};
+    switch (static_cast<ChecksumKind>(arg)) {
+    case ChecksumKind::Modular:
+        return {{kSum}, 1};
+    case ChecksumKind::Parity:
+        return {{kParity}, 1};
+    case ChecksumKind::ModularParity:
+        break;
+    }
+    return {{kSum, kParity}, 2};
+}
+
+/** Fold the halves @p pass carries of @p got into @p mine. */
+uint64_t
+foldPass(const TreePass &pass, uint64_t mine, uint64_t got)
+{
+    Checksums cs = unpackChecksums(mine);
+    const Checksums g = unpackChecksums(got);
+    if (pass.sum)
+        cs.sum += g.sum;
+    if (pass.parity)
+        cs.parity ^= g.parity;
+    return packChecksums(cs);
+}
+
 /**
  * One shfl_down step of Listing 4's tree, replayed on a warp
  * collective's lane slots. It charges exactly what one per-lane
@@ -20,14 +82,13 @@ constexpr uint32_t kTreeSteps = std::countr_zero(kWarpSize);
  * the step's latest arrival. A lane whose source (lane + offset) lies
  * below the live count (the number of lanes that deposited) then
  * folds the source's value, or its own when
- * the source did not deposit, and pays @p ops compute. Lanes are
+ * the source did not deposit, and pays the pass's compute. Lanes are
  * visited in ascending order, so a source (always a higher lane) is
  * read before this step overwrites it.
  */
-template <typename Fold>
 void
 treeStep(WarpLanes &x, const TimingParams &params, uint32_t offset,
-         uint64_t ops, Fold fold)
+         const TreePass &pass)
 {
     const Cycles resume = x.maxCycle() + params.shuffle_cycles;
     const uint32_t live = static_cast<uint32_t>(std::popcount(x.deposited));
@@ -39,57 +100,27 @@ treeStep(WarpLanes &x, const TimingParams &params, uint32_t offset,
         if (src < live) {
             const bool in_range =
                 src < kWarpSize && (x.deposited >> src & 1);
-            x.value[lane] =
-                fold(x.value[lane], in_range ? x.value[src] : x.value[lane]);
-            x.cycles[lane] += ops * params.compute_cycles;
+            x.value[lane] = foldPass(
+                pass, x.value[lane], in_range ? x.value[src] : x.value[lane]);
+            x.cycles[lane] += pass.ops * params.compute_cycles;
         }
     }
 }
 
-/** Fold one checksum half of @p got into @p mine, keeping the other. */
-uint64_t
-foldSum(uint64_t mine, uint64_t got)
-{
-    Checksums cs = unpackChecksums(mine);
-    cs.sum += unpackChecksums(got).sum;
-    return packChecksums(cs);
-}
-
-uint64_t
-foldParity(uint64_t mine, uint64_t got)
-{
-    Checksums cs = unpackChecksums(mine);
-    cs.parity ^= unpackChecksums(got).parity;
-    return packChecksums(cs);
-}
-
-uint64_t
-foldBoth(uint64_t mine, uint64_t got)
-{
-    Checksums cs = unpackChecksums(mine);
-    cs.merge(unpackChecksums(got));
-    return packChecksums(cs);
-}
-
-/** Listing 4 with one 32-bit shuffle per step per active checksum. */
+/** Replay @p tree step by step on the lanes that deposited in @p x. */
 void
-releaseChecksumTree(WarpLanes &x, const TimingParams &params)
-{
-    const auto kind = static_cast<ChecksumKind>(x.arg);
-    for (uint32_t offset = kWarpSize / 2; offset > 0; offset /= 2) {
-        if (kind != ChecksumKind::Parity)
-            treeStep(x, params, offset, 1, foldSum);
-        if (kind != ChecksumKind::Modular)
-            treeStep(x, params, offset, 1, foldParity);
-    }
-}
-
-/** The fused tree: both checksums in one 64-bit shuffle per step. */
-void
-releaseFusedTree(WarpLanes &x, const TimingParams &params)
+replayTree(WarpLanes &x, const TimingParams &params, const Tree &tree)
 {
     for (uint32_t offset = kWarpSize / 2; offset > 0; offset /= 2)
-        treeStep(x, params, offset, 2, foldBoth);
+        for (uint32_t i = 0; i < tree.passes; ++i)
+            treeStep(x, params, offset, tree.pass[i]);
+}
+
+/** Listing 4 as a warp collective's release: the tree x.arg names. */
+void
+releaseTree(WarpLanes &x, const TimingParams &params)
+{
+    replayTree(x, params, treeOf(x.arg));
 }
 
 } // namespace
@@ -97,43 +128,19 @@ releaseFusedTree(WarpLanes &x, const TimingParams &params)
 Checksums
 warpReduceChecksums(ThreadCtx &t, Checksums local, ChecksumKind kind)
 {
-    const uint32_t words = kind == ChecksumKind::ModularParity ? 2 : 1;
+    const auto arg = static_cast<uint64_t>(kind);
     return unpackChecksums(t.warpCollective(
-        packChecksums(local), &releaseChecksumTree,
-        static_cast<uint64_t>(kind), kTreeSteps * words));
+        packChecksums(local), &releaseTree, arg, treeOf(arg).steps()));
 }
 
 Checksums
 warpReduceFused(ThreadCtx &t, Checksums local)
 {
     return unpackChecksums(t.warpCollective(
-        packChecksums(local), &releaseFusedTree, 0, kTreeSteps));
+        packChecksums(local), &releaseTree, kFusedTree, kTreeSteps));
 }
 
 namespace {
-
-/** The fold's argument: a ChecksumKind, or this flag for the fused tree. */
-constexpr uint64_t kFusedFold = uint64_t{1} << 8;
-
-/** One warp tree of the block fold, as its closed form needs it. */
-struct FoldTree {
-    WarpReleaseFn replay; //!< the same tree as a warp collective release
-    uint32_t steps;       //!< shuffle steps, each one treeStep()
-    uint64_t ops;         //!< compute ops per folding lane per step
-    bool sum;             //!< folds the modular half
-    bool parity;          //!< folds the parity half
-};
-
-FoldTree
-foldTreeOf(uint64_t arg)
-{
-    if (arg == kFusedFold)
-        return {&releaseFusedTree, kTreeSteps, 2, true, true};
-    const auto kind = static_cast<ChecksumKind>(arg);
-    const uint32_t words = kind == ChecksumKind::ModularParity ? 2 : 1;
-    return {&releaseChecksumTree, kTreeSteps * words, 1,
-            kind != ChecksumKind::Parity, kind != ChecksumKind::Modular};
-}
 
 /** What one warp's tree leaves for the rest of the fold. */
 struct WarpFold {
@@ -145,31 +152,30 @@ struct WarpFold {
 /**
  * Run @p tree over the lanes in @p mask, whose deposits are
  * value[lane] and cycles[lane]. A full warp's tree has a closed form:
- * each step resumes every lane one shuffle after the latest, lane 0
- * folds at every step, so it stays the latest and ends up holding the
- * whole warp's fold. Any other warp replays the tree in @p scratch,
- * whose arg the caller has set.
+ * each pass resumes every lane one shuffle after the latest, and lane 0
+ * folds in every pass, so it stays the latest and ends up holding the
+ * whole warp's fold. Any other warp replays the tree in @p scratch.
  */
 WarpFold
-foldWarp(const FoldTree &tree, uint32_t mask, const uint64_t *value,
+foldWarp(const Tree &tree, uint32_t mask, const uint64_t *value,
          const Cycles *cycles, const TimingParams &params,
          WarpLanes &scratch)
 {
     if (mask == ~0u) {
-        Checksums acc = unpackChecksums(value[0]);
+        uint64_t acc = value[0];
         Cycles latest = cycles[0];
-        for (uint32_t lane = 1; lane < kWarpSize; ++lane) {
-            const Checksums cs = unpackChecksums(value[lane]);
-            if (tree.sum)
-                acc.sum += cs.sum;
-            if (tree.parity)
-                acc.parity ^= cs.parity;
-            latest = std::max(latest, cycles[lane]);
+        Cycles per_offset = 0;
+        for (uint32_t i = 0; i < tree.passes; ++i) {
+            const TreePass &pass = tree.pass[i];
+            for (uint32_t lane = 1; lane < kWarpSize; ++lane)
+                acc = foldPass(pass, acc, value[lane]);
+            per_offset +=
+                params.shuffle_cycles + pass.ops * params.compute_cycles;
         }
-        const Cycles done =
-            latest + tree.steps * (params.shuffle_cycles +
-                                   tree.ops * params.compute_cycles);
-        return {packChecksums(acc), done, done};
+        for (uint32_t lane = 1; lane < kWarpSize; ++lane)
+            latest = std::max(latest, cycles[lane]);
+        const Cycles done = latest + kTreeSteps * per_offset;
+        return {acc, done, done};
     }
     scratch.deposited = mask;
     for (uint32_t bits = mask; bits != 0; bits &= bits - 1) {
@@ -178,7 +184,7 @@ foldWarp(const FoldTree &tree, uint32_t mask, const uint64_t *value,
         scratch.value[lane] = value[lane];
         scratch.cycles[lane] = cycles[lane];
     }
-    tree.replay(scratch, params);
+    replayTree(scratch, params, tree);
     return {scratch.value[0], scratch.cycles[0], scratch.maxCycle()};
 }
 
@@ -194,12 +200,11 @@ releaseBlockFold(BlockLanes &x, BlockState &block)
 {
     obs::TraceSpan span("checksum_fold", "core", block.rank(), "block");
     const TimingParams &p = block.params();
-    const FoldTree tree = foldTreeOf(x.arg);
+    const Tree tree = treeOf(x.arg);
     const uint32_t warps = block.numWarps();
     auto *parked = reinterpret_cast<uint64_t *>(block.sharedRaw(
         block.sharedSlot(kLpReduceSharedSlot, kWarpSize * sizeof(uint64_t))));
     WarpLanes scratch;
-    scratch.arg = x.arg;
 
     Cycles latest = 0; // the first barrier's latest arrival
     for (uint32_t w = 0; w < warps; ++w) {
@@ -244,7 +249,7 @@ Checksums
 foldBlock(ThreadCtx &t, Checksums local, uint64_t arg)
 {
     t.blockArrive(packChecksums(local), &releaseBlockFold, arg);
-    const uint32_t steps = foldTreeOf(arg).steps;
+    const uint32_t steps = treeOf(arg).steps();
     obs::add(obs::Ctr::SimBarrierWaits, 2);
     obs::add(obs::Ctr::SimShuffles, t.warpId() == 0 ? 2 * steps : steps);
     if (t.flatThreadIdx() != 0)
@@ -263,7 +268,7 @@ blockReduceParallel(ThreadCtx &t, Checksums local, ChecksumKind kind)
 Checksums
 blockReduceParallelFused(ThreadCtx &t, Checksums local)
 {
-    return foldBlock(t, local, kFusedFold);
+    return foldBlock(t, local, kFusedTree);
 }
 
 Checksums

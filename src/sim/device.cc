@@ -137,8 +137,8 @@ Device::runBlockLocal(const LaunchConfig &cfg, uint64_t rank,
 
     out.crashed = state.crashed();
     Cycles end = 0;
-    for (ThreadCtx &ctx : ws.ctxs)
-        end = std::max(end, ctx.now());
+    for (const ThreadCtx &ctx : ws.ctxs)
+        end = std::max(end, ctx.endCycle());
     out.local_end = end;
     obs::add(obs::Ctr::SimWarps, (n + kWarpSize - 1) / kWarpSize);
     obs::observe(obs::Hist::SimBlockCycles, end);
@@ -147,7 +147,7 @@ Device::runBlockLocal(const LaunchConfig &cfg, uint64_t rank,
     if (!out.events.empty()) {
         out.thread_end.resize(n);
         for (uint32_t t = 0; t < n; ++t)
-            out.thread_end[t] = ws.ctxs[t].now();
+            out.thread_end[t] = ws.ctxs[t].endCycle();
     }
 }
 

@@ -160,6 +160,51 @@ collectWaiters(const std::vector<uint64_t> &bits, std::vector<uint32_t> &out)
 
 } // namespace
 
+uint32_t
+BlockState::pickNext(uint32_t last)
+{
+    if (live_ == 0)
+        return kNoThread;
+    const uint32_t t =
+        policy_ != nullptr
+            ? policy_->pick(ready_, last)
+            : ready_.popNextFrom(last == kNoThread ? 0 : last + 1);
+    if (t != kNoThread && policy_ != nullptr)
+        policy_->onResume(t);
+    return t;
+}
+
+Fiber *
+BlockState::claimNext(uint32_t last)
+{
+    uint32_t t = pickNext(last);
+    if (t != kNoThread && threads_[t].finished_) [[unlikely]]
+        t = retireFinished(t);
+    if (t == kNoThread)
+        return nullptr;
+    ++resumes_;
+    return fibers_[t].get();
+}
+
+uint32_t
+BlockState::retireFinished(uint32_t t)
+{
+    do {
+        // Its fiber has nothing left to run: do in place what resuming
+        // it would have done, in the same order. The woken thread's
+        // crash check would unwind it before it took the release cycle.
+        ThreadCtx &thread = threads_[t];
+        thread.awaiting_ = false;
+        if (nvm_ != nullptr && nvm_->crashPending())
+            crashed_ = true;
+        else
+            thread.cycles_ = rv_release_cycle_;
+        retire(thread);
+        t = pickNext(t);
+    } while (t != kNoThread && threads_[t].finished_);
+    return t;
+}
+
 void
 BlockState::run(std::span<const std::unique_ptr<Fiber>> fibers,
                 std::span<ThreadCtx> threads)
@@ -197,37 +242,6 @@ BlockState::run(std::span<const std::unique_ptr<Fiber>> fibers,
     fibers_ = {};
     threads_ = {};
     obs::add(obs::Ctr::SimFiberSwitches, resumes_);
-}
-
-Fiber *
-BlockState::claimNext(uint32_t last)
-{
-    while (live_ > 0) {
-        const uint32_t t =
-            policy_ != nullptr
-                ? policy_->pick(ready_, last)
-                : ready_.popNextFrom(last == kNoThread ? 0 : last + 1);
-        if (t == kNoThread)
-            return nullptr;
-        if (policy_ != nullptr)
-            policy_->onResume(t);
-        ThreadCtx &thread = threads_[t];
-        if (!thread.finished_) {
-            ++resumes_;
-            return fibers_[t].get();
-        }
-        // Its fiber has nothing left to run: do in place what resuming
-        // it would have done, in the same order. The woken thread's
-        // crash check would unwind it before it took the release cycle.
-        thread.awaiting_ = false;
-        if (nvm_ != nullptr && nvm_->crashPending())
-            crashed_ = true;
-        else
-            thread.cycles_ = rv_release_cycle_;
-        retire(thread);
-        last = t;
-    }
-    return nullptr;
 }
 
 void
@@ -404,11 +418,9 @@ BlockState::gateOrdering(uint32_t tid)
 }
 
 void
-BlockState::arrive(ThreadCtx &t, uint64_t value, BlockReleaseFn release,
-                   uint64_t arg)
+BlockState::arrive(ThreadCtx &t, BlockReleaseFn release, uint64_t arg)
 {
     BlockLanes &x = rv_lanes_;
-    const uint32_t tid = t.flat_tid_;
     if (rv_arrived_ == 0) {
         rv_release_ = release;
         x.arg = arg;
@@ -418,13 +430,10 @@ BlockState::arrive(ThreadCtx &t, uint64_t value, BlockReleaseFn release,
                      static_cast<unsigned long long>(x.arg),
                      static_cast<unsigned long long>(arg));
     }
-    x.value[tid] = value;
-    x.cycles[tid] = t.cycles_;
     x.max_arrival = std::max(x.max_arrival, t.cycles_);
-    x.lanes[tid / kWarpSize] |= 1u << (tid % kWarpSize);
     ++rv_arrived_;
     const uint64_t gen = rv_generation_;
-    maybeReleaseRendezvous(tid);
+    maybeReleaseRendezvous(t.flat_tid_);
     if (rv_generation_ == gen)
         t.awaiting_ = true;
     else
@@ -495,8 +504,7 @@ ThreadCtx::atomicCAS(Addr addr, uint32_t compare, uint32_t value)
 uint64_t
 ThreadCtx::atomicCAS64(Addr addr, uint64_t compare, uint64_t value)
 {
-    settle();
-    block_.checkCrash();
+    enterOp();
     block_.gateOrdering(flat_tid_);
     noteAtomic(addr, 8);
     uint64_t old;
@@ -519,8 +527,7 @@ ThreadCtx::atomicExch(Addr addr, uint32_t value)
 uint64_t
 ThreadCtx::atomicExch64(Addr addr, uint64_t value)
 {
-    settle();
-    block_.checkCrash();
+    enterOp();
     block_.gateOrdering(flat_tid_);
     noteAtomic(addr, 8);
     uint64_t old;
@@ -542,8 +549,7 @@ ThreadCtx::atomicAdd(Addr addr, uint32_t delta)
 float
 ThreadCtx::atomicAddF(Addr addr, float delta)
 {
-    settle();
-    block_.checkCrash();
+    enterOp();
     block_.gateOrdering(flat_tid_);
     noteAtomic(addr, 4);
     float old;
@@ -566,8 +572,7 @@ ThreadCtx::atomicMax(Addr addr, uint32_t value)
 void
 ThreadCtx::clwb(Addr addr)
 {
-    settle();
-    block_.checkCrash();
+    enterOp();
     const TimingParams &p = block_.timing_.params();
     cycles_ += p.clwb_issue_cycles;
     if (block_.nvm_) {
@@ -588,8 +593,7 @@ ThreadCtx::clwb(Addr addr)
 void
 ThreadCtx::persistBarrier()
 {
-    settle();
-    block_.checkCrash();
+    enterOp();
     const TimingParams &p = block_.timing_.params();
     if (outstanding_flushes_ > 0) {
         cycles_ += p.persist_latency_cycles +
@@ -604,8 +608,7 @@ ThreadCtx::persistBarrier()
 void
 ThreadCtx::lockAcquire(Addr addr)
 {
-    settle();
-    block_.checkCrash();
+    enterOp();
     block_.gateOrdering(flat_tid_);
     noteAtomic(addr, 4);
     // Functionally the lock is always free by the time this block may
@@ -619,8 +622,7 @@ ThreadCtx::lockAcquire(Addr addr)
 void
 ThreadCtx::lockRelease(Addr addr)
 {
-    settle();
-    block_.checkCrash();
+    enterOp();
     noteAtomic(addr, 4);
     block_.mem_.write<uint32_t>(addr, 0);
     cycles_ += block_.timing_.params().global_issue_cycles;
@@ -641,16 +643,21 @@ releaseBarrier(BlockLanes &x, BlockState &block)
 void
 ThreadCtx::syncthreads()
 {
-    blockArrive(0, &releaseBarrier, 0);
+    enterOp();
+    // The barrier's release reads only the latest arrival: no deposit.
+    block_.arrive(*this, &releaseBarrier, 0);
     obs::add(obs::Ctr::SimBarrierWaits);
 }
 
 void
 ThreadCtx::blockArrive(uint64_t value, BlockReleaseFn release, uint64_t arg)
 {
-    settle();
-    block_.checkCrash();
-    block_.arrive(*this, value, release, arg);
+    enterOp();
+    BlockLanes &x = block_.rv_lanes_;
+    x.value[flat_tid_] = value;
+    x.cycles[flat_tid_] = cycles_;
+    x.lanes[warpId()] |= 1u << laneId();
+    block_.arrive(*this, release, arg);
 }
 
 uint64_t
@@ -664,9 +671,8 @@ uint64_t
 ThreadCtx::warpCollective(uint64_t value, WarpReleaseFn release,
                           uint64_t arg, uint32_t shuffle_steps)
 {
-    settle();
+    enterOp();
     BlockState &b = block_;
-    b.checkCrash();
     obs::add(obs::Ctr::SimWarpCollectives);
     obs::add(obs::Ctr::SimShuffles, shuffle_steps);
     WarpState &w = b.warps_[warpId()];

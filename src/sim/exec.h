@@ -137,10 +137,12 @@ class BlockState;
 
 /**
  * The deposits of one block rendezvous, as its release function sees
- * them. Each live thread deposits its value and cycle counter in its
- * own slot, indexed by flat tid; the release function may overwrite a
- * thread's value with its result. A thread reads only its own slot,
- * and deposits again only after reading it.
+ * them. A thread arriving through ThreadCtx::blockArrive deposits its
+ * value and cycle counter in its own slot, indexed by flat tid; the
+ * release function may overwrite a thread's value with its result. A
+ * thread reads only its own slot, and deposits again only after
+ * reading it. __syncthreads deposits nothing: its release reads only
+ * the latest arrival, which every arrival updates.
  */
 struct BlockLanes {
     std::vector<uint32_t> lanes; //!< per warp: bitmask of lanes arrived
@@ -529,14 +531,12 @@ class BlockState
     }
 
     /**
-     * Arrive at the block rendezvous: deposit @p value and @p t's cycle
-     * counter, and release it if @p t is the last live thread to
-     * arrive. The releaser resumes at the release cycle at once; any
-     * other arriver is left awaiting the release (ThreadCtx::settle).
-     * Never parks.
+     * Arrive at the block rendezvous, after any deposit, and release it
+     * if @p t is the last live thread to arrive. The releaser resumes
+     * at the release cycle at once; any other arriver is left awaiting
+     * the release (ThreadCtx::settle). Never parks.
      */
-    void arrive(ThreadCtx &t, uint64_t value, BlockReleaseFn release,
-                uint64_t arg);
+    void arrive(ThreadCtx &t, BlockReleaseFn release, uint64_t arg);
 
     /**
      * The wait rule's slow path: park @p t until the rendezvous it
@@ -577,11 +577,22 @@ class BlockState
      * order (kNoThread: from tid 0); with a policy installed the pick
      * is the policy's. It reports the pick to the policy. A claimed
      * finished thread is retired in place, doing what resuming it
-     * would have done, and the pick repeats from it; any other claim
-     * counts one resume. @return The claimed thread's fiber, or
-     * nullptr when no thread is live or none is ready.
+     * would have done, and the pick repeats from it (retireFinished);
+     * any other claim counts one resume. @return The claimed thread's
+     * fiber, or nullptr when no thread is live or none is ready.
      */
-    Fiber *claimNext(uint32_t last);
+    [[gnu::always_inline]] inline Fiber *claimNext(uint32_t last);
+
+    /** claimNext's pick, reported to the policy. @return The picked
+     *  tid, or kNoThread when no thread is live or none is ready. */
+    [[gnu::always_inline]] inline uint32_t pickNext(uint32_t last);
+
+    /**
+     * claimNext's slow path, kept out of the parking path: retire the
+     * picked finished thread @p t in place, and each finished thread
+     * picked after it. @return The first other pick, or kNoThread.
+     */
+    [[gnu::noinline]] uint32_t retireFinished(uint32_t t);
 
     /** Hand the parked running thread @p tid's turn to the next ready
      *  fiber, or return to run() when none is ready. */
@@ -783,6 +794,19 @@ class ThreadCtx
         return cycles_;
     }
 
+    /**
+     * The cycle a retired thread ended at, for the block runner once
+     * the block ran. Never waits, so host code cannot reach the park
+     * path; kernels read now().
+     */
+    Cycles
+    endCycle() const
+    {
+        GPULP_ASSERT(exited_ && !awaiting_,
+                     "end cycle of tid %u read before it retired", flat_tid_);
+        return cycles_;
+    }
+
     /** Timing parameters of the launch. */
     const TimingParams &
     params() const
@@ -808,8 +832,7 @@ class ThreadCtx
     T
     loadAddr(Addr addr)
     {
-        settle();
-        block_.checkCrash();
+        enterOp();
         if (block_.mustOrder(addr, sizeof(T)))
             block_.gateOrdering(flat_tid_);
         if (block_.policy_ != nullptr)
@@ -824,8 +847,7 @@ class ThreadCtx
     void
     storeAddr(Addr addr, T value)
     {
-        settle();
-        block_.checkCrash();
+        enterOp();
         if (block_.mustOrder(addr, sizeof(T)))
             block_.gateOrdering(flat_tid_);
         if (block_.policy_ != nullptr)
@@ -926,7 +948,8 @@ class ThreadCtx
     /**
      * __syncthreads(): block-wide barrier; every thread resumes at the
      * latest arrival plus barrier_cycles. A block rendezvous, so the
-     * thread waits at its next device operation, not here.
+     * thread waits at its next device operation, not here (see
+     * blockArrive() for what the code in between may not do).
      */
     void syncthreads();
 
@@ -938,6 +961,11 @@ class ThreadCtx
      * release at its next device operation, or, if its kernel returns
      * first, as a finished thread. All live threads must arrive with
      * the same @p release and @p arg. Counts no counter.
+     *
+     * Host code between the arrival and the thread's next device
+     * operation runs before the other threads' code before the
+     * rendezvous, and also in a launch that crashes there. It must not
+     * exchange host-side state with other threads of the block.
      */
     void blockArrive(uint64_t value, BlockReleaseFn release, uint64_t arg);
 
@@ -995,6 +1023,17 @@ class ThreadCtx
             block_.awaitRelease(*this);
     }
 
+    /**
+     * The prologue of a device operation that can fault: the wait rule,
+     * then the crash check (a latched crash unwinds the fiber).
+     */
+    void
+    enterOp()
+    {
+        settle();
+        block_.checkCrash();
+    }
+
     /** Common implementation for all shuffle widths (64-bit payload). */
     uint64_t shflDownRaw(uint64_t value, uint32_t delta);
 
@@ -1005,14 +1044,24 @@ class ThreadCtx
         return block_.timing_.params();
     }
 
-    /** Policy hook relay for SharedRef accesses. */
+    /**
+     * The prologue of a SharedRef access: the wait rule, then the
+     * policy's access hook. Both sit behind one test so that, once
+     * neither applies, the compiler keeps a shared-memory loop free of
+     * calls, with the cycle counter in a register. A second test
+     * guarding a second call defeats that (a loop of shared loads then
+     * takes about 3x as long).
+     */
     void
-    noteSharedAccess(uint32_t slot, uint32_t offset, uint32_t bytes,
-                     AccessKind kind)
+    enterSharedOp(uint32_t slot, uint32_t offset, uint32_t bytes,
+                  AccessKind kind)
     {
-        if (block_.policy_ != nullptr)
-            block_.policy_->onSharedAccess(flat_tid_, slot, offset, bytes,
-                                           kind);
+        if (awaiting_ | (block_.policy_ != nullptr)) [[unlikely]] {
+            settle();
+            if (block_.policy_ != nullptr)
+                block_.policy_->onSharedAccess(flat_tid_, slot, offset,
+                                               bytes, kind);
+        }
     }
 
     /** Policy hook relay for out-of-line atomic paths (exec.cc). */
@@ -1029,8 +1078,7 @@ class ThreadCtx
     uint32_t
     rmw32(Addr addr, Op &&op)
     {
-        settle();
-        block_.checkCrash();
+        enterOp();
         block_.gateOrdering(flat_tid_);
         noteAtomic(addr, 4);
         uint32_t old, next;
@@ -1063,10 +1111,9 @@ SharedRef<T>::get(size_t index) const
 {
     GPULP_ASSERT(index < count_, "shared load index %zu out of %zu", index,
                  count_);
-    thread_->settle();
-    thread_->noteSharedAccess(slot_id_,
-                              static_cast<uint32_t>(index * sizeof(T)),
-                              sizeof(T), AccessKind::Load);
+    thread_->enterSharedOp(slot_id_,
+                           static_cast<uint32_t>(index * sizeof(T)),
+                           sizeof(T), AccessKind::Load);
     thread_->cycles_ += thread_->timingParams().shared_access_cycles;
     return data_[index];
 }
@@ -1077,10 +1124,9 @@ SharedRef<T>::set(size_t index, T value)
 {
     GPULP_ASSERT(index < count_, "shared store index %zu out of %zu", index,
                  count_);
-    thread_->settle();
-    thread_->noteSharedAccess(slot_id_,
-                              static_cast<uint32_t>(index * sizeof(T)),
-                              sizeof(T), AccessKind::Store);
+    thread_->enterSharedOp(slot_id_,
+                           static_cast<uint32_t>(index * sizeof(T)),
+                           sizeof(T), AccessKind::Store);
     thread_->cycles_ += thread_->timingParams().shared_access_cycles;
     data_[index] = value;
 }
@@ -1091,10 +1137,9 @@ SharedRef<T>::atomicAdd(size_t index, T delta)
 {
     GPULP_ASSERT(index < count_, "shared atomic index %zu out of %zu", index,
                  count_);
-    thread_->settle();
-    thread_->noteSharedAccess(slot_id_,
-                              static_cast<uint32_t>(index * sizeof(T)),
-                              sizeof(T), AccessKind::AtomicRmw);
+    thread_->enterSharedOp(slot_id_,
+                           static_cast<uint32_t>(index * sizeof(T)),
+                           sizeof(T), AccessKind::AtomicRmw);
     // Shared atomics are fast and bank-arbitrated; charge a small
     // constant on top of the access itself.
     thread_->cycles_ += thread_->timingParams().shared_access_cycles + 2;

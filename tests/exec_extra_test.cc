@@ -464,6 +464,7 @@ struct FoldShape {
     uint32_t threads;
     uint32_t folds; //!< 1, or 2 back to back
     FoldExits exits;
+    uint32_t late_tid = ~0u; //!< arrives last in the block (~0u: none)
 };
 
 /** What one fold-shaped launch left behind. */
@@ -505,7 +506,8 @@ runFold(FoldShape shape, ReduceFlavor flavor, bool reference)
                     t.syncthreads();
                 }
                 if (f == 0)
-                    t.stall((tid * 37u) % 101u);
+                    t.stall((tid * 37u) % 101u +
+                            (tid == shape.late_tid ? 1000u : 0u));
                 Checksums cs = fold(
                     t, Checksums{tid * 2654435761u + 7u * (f + 1),
                                  ~tid * 40503u + f});
@@ -564,6 +566,11 @@ TEST(ExecExtraTest, BlockFoldRendezvousMatchesListing3StepByStep)
                 shapes.push_back({n, 1, FoldExits::Warp1Leader});
                 shapes.push_back({n, 2, FoldExits::Warp1LeaderLate});
             }
+            // Each thread of two full warps in turn as the block's last
+            // arrival, so no lane's cycle hides behind another warp's.
+            if (n == 2 * kWarpSize)
+                for (uint32_t late = 0; late < n; ++late)
+                    shapes.push_back({n, 1, FoldExits::None, late});
             for (const FoldShape &shape : shapes) {
                 const FoldOutcome want = runFold(shape, flavor, true);
                 const FoldOutcome got = runFold(shape, flavor, false);
@@ -572,7 +579,8 @@ TEST(ExecExtraTest, BlockFoldRendezvousMatchesListing3StepByStep)
                                              : toString(flavor.kind)) +
                     ", " + std::to_string(n) + " threads, " +
                     std::to_string(shape.folds) + " folds, exits " +
-                    std::to_string(static_cast<int>(shape.exits));
+                    std::to_string(static_cast<int>(shape.exits)) +
+                    ", late tid " + std::to_string(shape.late_tid);
                 EXPECT_EQ(got.values, want.values) << what;
                 EXPECT_EQ(got.end, want.end) << what;
                 EXPECT_EQ(got.shuffles, want.shuffles) << what;

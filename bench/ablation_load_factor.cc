@@ -35,7 +35,6 @@ main(int argc, char **argv)
 
     TextTable table({"Load factor", "Quad overhead", "Quad coll/insert",
                      "Cuckoo overhead", "Cuckoo coll/insert",
-                     "Bucket2 overhead", "B2 coll/insert",
                      "B2Opt overhead", "B2Opt coll/insert"});
     auto per_insert = [](const MeasuredRun &r) {
         return static_cast<double>(r.store_stats.collisions) /
@@ -53,11 +52,8 @@ main(int argc, char **argv)
         cuckoo_cfg.load_factor = cuckoo_lf;
         MeasuredRun cuckoo = bench.measure(cuckoo_cfg);
 
-        // The bucketized backends sweep the full range: fixed-width
-        // buckets are exactly what keeps them usable past 90%.
-        LpConfig b2_cfg = LpConfig::naive(TableKind::Bucket2);
-        b2_cfg.load_factor = lf;
-        MeasuredRun b2 = bench.measure(b2_cfg);
+        // The bucketized backend sweeps the full range: fixed-width
+        // buckets are exactly what keeps it usable past 90%.
         LpConfig b2o_cfg = LpConfig::naive(TableKind::Bucket2Opt);
         b2o_cfg.load_factor = lf;
         MeasuredRun b2o = bench.measure(b2o_cfg);
@@ -67,21 +63,19 @@ main(int argc, char **argv)
                       TextTable::pct(cuckoo.overhead) +
                           (lf >= 0.5 ? " (@0.49)" : ""),
                       TextTable::num(per_insert(cuckoo), 2),
-                      TextTable::pct(b2.overhead),
-                      TextTable::num(per_insert(b2), 2),
                       TextTable::pct(b2o.overhead),
                       TextTable::num(per_insert(b2o), 2)});
     }
     MeasuredRun array = bench.measure(LpConfig::scalable());
     table.addSeparator();
     table.addRow({"array (1.00)", TextTable::pct(array.overhead), "0.00",
-                  "-", "-", "-", "-", "-", "-"});
+                  "-", "-", "-", "-"});
     table.print();
 
     std::printf("\nPaper guidance: quad <= ~70%%, cuckoo < 50%%; the "
                 "global array runs at 100%% load,\ncollision-free and "
-                "race-free (Sec. V). The bucketized two-choice backends "
-                "(docs/CHECKSUM_TABLES.md)\nstay flat through 95%% but "
+                "race-free (Sec. V). The bucketized two-choice backend "
+                "(docs/CHECKSUM_TABLES.md)\nstays flat through 95%% but "
                 "still pay the hash/probe; the array remains the floor.\n");
     benchFinish(cli);
     return 0;

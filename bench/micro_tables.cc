@@ -1,7 +1,7 @@
 /**
  * @file
  * Microbenchmark: simulated insertion cost of every checksum store
- * (Fig. 3/4 and Sec. V of the paper, plus the v2 bucketized backends
+ * (Fig. 3/4 and Sec. V of the paper, plus the v2 bucketized backend
  * of docs/CHECKSUM_TABLES.md) as the number of
  * concurrently inserting thread blocks grows. Custom counters report
  * simulated device cycles and collision counts: the global array's
@@ -64,12 +64,6 @@ BM_InsertGlobalArray(benchmark::State &state)
 }
 
 void
-BM_InsertBucket2(benchmark::State &state)
-{
-    runInsertSweep(state, TableKind::Bucket2);
-}
-
-void
 BM_InsertBucket2Opt(benchmark::State &state)
 {
     runInsertSweep(state, TableKind::Bucket2Opt);
@@ -78,7 +72,6 @@ BM_InsertBucket2Opt(benchmark::State &state)
 BENCHMARK(BM_InsertQuadProbe)->Arg(512)->Arg(4096)->Arg(32768);
 BENCHMARK(BM_InsertCuckoo)->Arg(512)->Arg(4096)->Arg(32768);
 BENCHMARK(BM_InsertGlobalArray)->Arg(512)->Arg(4096)->Arg(32768);
-BENCHMARK(BM_InsertBucket2)->Arg(512)->Arg(4096)->Arg(32768);
 BENCHMARK(BM_InsertBucket2Opt)->Arg(512)->Arg(4096)->Arg(32768);
 
 } // namespace

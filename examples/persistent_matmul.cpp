@@ -5,7 +5,7 @@
  *
  * Demonstrates the full LP lifecycle on a real kernel: a shared-memory
  * tiled matmul runs with LP protection under several design points
- * (quadratic probing, cuckoo, the bucketized two-choice backends,
+ * (quadratic probing, cuckoo, the bucketized two-choice backend,
  * global array — GPULP_TABLE et al. select more, see README), a crash
  * is injected, and
  * recovery restores the exact result. Also prints the modelled
@@ -68,9 +68,6 @@ main()
         reportOverhead(dev, tmm, baseline,
                        LpConfig::naive(TableKind::Cuckoo),
                        "cuckoo + shuffle");
-        reportOverhead(dev, tmm, baseline,
-                       LpConfig::naive(TableKind::Bucket2),
-                       "bucket2 + shuffle");
         reportOverhead(dev, tmm, baseline,
                        LpConfig::naive(TableKind::Bucket2Opt),
                        "bucket2opt + shuffle");

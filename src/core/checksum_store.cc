@@ -1,7 +1,6 @@
 #include "checksum_store.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "obs/counters.h"
@@ -27,9 +26,9 @@ constexpr double kQuadDefaultLoad = 0.7;
 constexpr double kCuckooDefaultLoad = 0.45;
 
 /**
- * Default load factor for the bucketized two-choice backends. Fixed-
- * width buckets keep probe cost bounded (two bucket reads) well past
- * the open-addressing cliffs, so they default to the >90% regime the
+ * Default load factor for the bucketized two-choice table. Fixed-width
+ * buckets keep probe cost bounded (two bucket reads) well past the
+ * open-addressing cliffs, so it defaults to the >90% regime the
  * WarpSpeed line of work targets.
  */
 constexpr double kBucketDefaultLoad = 0.9;
@@ -508,502 +507,6 @@ CuckooTable::footprintBytes() const
 }
 
 // ---------------------------------------------------------------------
-// Bucket2Table
-// ---------------------------------------------------------------------
-
-Bucket2Table::Bucket2Table(Device &dev, uint64_t num_keys, LockMode mode,
-                           double load_factor)
-    : dev_(dev), mode_(mode)
-{
-    double lf = load_factor > 0.0 ? load_factor : kBucketDefaultLoad;
-    GPULP_ASSERT(lf > 0.0 && lf <= 1.0, "bad load factor %f", lf);
-    // Exact sizing, like the other hashed tables: the measured load
-    // factor must match the target or the high-load comparison against
-    // quad/cuckoo is meaningless.
-    num_buckets_ = ceilOdd(static_cast<uint64_t>(
-        static_cast<double>(num_keys) / (lf * kBucketWidth) + 1.0));
-    buckets_ =
-        dev_.mem().alloc(num_buckets_ * kBucketWidth * kEntryBytes);
-    stash_slots_ = std::max<uint64_t>(64, num_keys / 64);
-    stash_ = dev_.mem().alloc(stash_slots_ * kEntryBytes);
-    lock_ = dev_.mem().alloc(4);
-    // Unlike quad/cuckoo, *every* discipline scans its candidate
-    // buckets with plain loads before claiming a slot, so the bucket
-    // array is racy-by-design in all modes, not just NoAtomic: declare
-    // it ordered so cross-block probe outcomes stay deterministic (the
-    // stash claims via atomicCAS, which gates on its own).
-    dev_.addOrderedRegion(buckets_,
-                          num_buckets_ * kBucketWidth * kEntryBytes);
-    obs::observe(obs::Hist::StoreLoadFactorPct,
-                 static_cast<uint64_t>(lf * 100.0 + 0.5));
-    clear();
-}
-
-uint64_t
-Bucket2Table::bucketOf(uint32_t key, uint32_t choice) const
-{
-    uint64_t b0 = mixHash(key, kBucketSeedA) % num_buckets_;
-    if (choice == 0)
-        return b0;
-    uint64_t b1 = mixHash(key, kBucketSeedB) % num_buckets_;
-    // The two choices must be distinct buckets or displacement cannot
-    // make progress for this key.
-    if (b1 == b0)
-        b1 = (b0 + 1) % num_buckets_;
-    return b1;
-}
-
-Addr
-Bucket2Table::keyAddr(uint64_t bucket, uint32_t slot) const
-{
-    return buckets_ + (bucket * kBucketWidth + slot) * kEntryBytes;
-}
-
-Addr
-Bucket2Table::payloadAddr(uint64_t bucket, uint32_t slot) const
-{
-    return keyAddr(bucket, slot) + 4;
-}
-
-void
-Bucket2Table::insert(ThreadCtx &t, uint32_t key, Checksums cs)
-{
-    GPULP_ASSERT(key != kEmptyKey, "key collides with the empty marker");
-    bump(stats_.inserts);
-    obs::add(obs::Ctr::StoreBucket2Inserts);
-    switch (mode_) {
-      case LockMode::LockFree:
-        insertLockFree(t, key, cs);
-        break;
-      case LockMode::LockBased:
-        insertLockBased(t, key, cs);
-        break;
-      case LockMode::NoAtomic:
-        insertNoAtomic(t, key, cs);
-        break;
-    }
-}
-
-void
-Bucket2Table::insertLockFree(ThreadCtx &t, uint32_t key, Checksums cs)
-{
-    uint64_t cand[2] = {bucketOf(key, 0), bucketOf(key, 1)};
-    // Pass 1 — warp-cooperative scan of both candidate buckets: find a
-    // prior entry for the key (recovery re-insert) and the empty-slot
-    // masks. One probe = one bucket read (the warp's lanes each take a
-    // slot and ballot the result).
-    uint32_t empty_mask[2] = {0, 0};
-    for (int c = 0; c < 2; ++c) {
-        bump(stats_.probes);
-        obs::add(obs::Ctr::StoreBucket2Probes);
-        for (uint32_t s = 0; s < kBucketWidth; ++s) {
-            uint32_t k = t.loadAddr<uint32_t>(keyAddr(cand[c], s));
-            if (k == key) {
-                t.storeAddr<uint32_t>(payloadAddr(cand[c], s), cs.sum);
-                t.storeAddr<uint32_t>(payloadAddr(cand[c], s) + 4,
-                                      cs.parity);
-                obs::observe(obs::Hist::StoreBucket2ProbeLen,
-                             static_cast<uint64_t>(c) + 1);
-                return;
-            }
-            if (k == kEmptyKey)
-                empty_mask[c] |= 1u << s;
-        }
-    }
-    // Pass 2 — claim a scanned-empty slot in the lighter (emptier)
-    // bucket first, spilling into the other on conflicts. Only slots
-    // the scan saw empty are CASed, so a failed CAS is a genuine race
-    // loss; a bucket with no empty slot counts one collision event.
-    int lighter =
-        std::popcount(empty_mask[1]) > std::popcount(empty_mask[0]) ? 1
-                                                                    : 0;
-    for (int round = 0; round < 2; ++round) {
-        uint64_t b = cand[lighter ^ round];
-        uint32_t mask = empty_mask[lighter ^ round];
-        if (mask == 0) {
-            bump(stats_.collisions);
-            obs::add(obs::Ctr::StoreBucket2Collisions);
-            continue;
-        }
-        for (uint32_t s = 0; s < kBucketWidth; ++s) {
-            if ((mask & (1u << s)) == 0)
-                continue;
-            uint32_t old = t.atomicCAS(keyAddr(b, s), kEmptyKey, key);
-            if (old == kEmptyKey || old == key) {
-                t.storeAddr<uint32_t>(payloadAddr(b, s), cs.sum);
-                t.storeAddr<uint32_t>(payloadAddr(b, s) + 4, cs.parity);
-                obs::observe(obs::Hist::StoreBucket2ProbeLen, 2);
-                return;
-            }
-            bump(stats_.collisions);
-            obs::add(obs::Ctr::StoreBucket2Collisions);
-        }
-    }
-    // Both candidate buckets full: displace an incumbent whose
-    // alternate bucket has room, alternating victims' home buckets.
-    for (uint32_t d = 0; d < kMaxDisplacements; ++d) {
-        if (displaceLockFree(t, cand[d & 1], key, cs)) {
-            obs::observe(obs::Hist::StoreBucket2ProbeLen, 2 + d + 1);
-            return;
-        }
-    }
-    stashInsert(t, key, cs);
-    obs::observe(obs::Hist::StoreBucket2ProbeLen,
-                 2 + kMaxDisplacements + 1);
-}
-
-bool
-Bucket2Table::displaceLockFree(ThreadCtx &t, uint64_t bucket,
-                               uint32_t key, Checksums cs)
-{
-    for (uint32_t s = 0; s < kBucketWidth; ++s) {
-        uint32_t victim = t.loadAddr<uint32_t>(keyAddr(bucket, s));
-        if (victim == kEmptyKey || victim == key) {
-            // The slot freed (or our key appeared) since the scan.
-            uint32_t old = t.atomicCAS(keyAddr(bucket, s), kEmptyKey, key);
-            if (old == kEmptyKey || old == key) {
-                t.storeAddr<uint32_t>(payloadAddr(bucket, s), cs.sum);
-                t.storeAddr<uint32_t>(payloadAddr(bucket, s) + 4,
-                                      cs.parity);
-                return true;
-            }
-            bump(stats_.collisions);
-            obs::add(obs::Ctr::StoreBucket2Collisions);
-            continue;
-        }
-        uint64_t alt = bucketOf(victim, 0) == bucket ? bucketOf(victim, 1)
-                                                     : bucketOf(victim, 0);
-        if (alt == bucket)
-            continue;
-        bump(stats_.probes);
-        obs::add(obs::Ctr::StoreBucket2Probes);
-        for (uint32_t as = 0; as < kBucketWidth; ++as) {
-            uint32_t aold =
-                t.atomicCAS(keyAddr(alt, as), kEmptyKey, victim);
-            if (aold != kEmptyKey && aold != victim)
-                continue;
-            // The victim now lives in both buckets; move its payload,
-            // then reclaim its old slot for our key. A crash (or a
-            // lost reclaim race) between these steps leaves a benign
-            // transient duplicate: lookups find whichever copy comes
-            // first, and a stale payload merely re-validates the
-            // victim's block as failed (a false-fail, never a
-            // false-pass — checksums are content-derived).
-            uint32_t vsum = t.loadAddr<uint32_t>(payloadAddr(bucket, s));
-            uint32_t vpar =
-                t.loadAddr<uint32_t>(payloadAddr(bucket, s) + 4);
-            t.storeAddr<uint32_t>(payloadAddr(alt, as), vsum);
-            t.storeAddr<uint32_t>(payloadAddr(alt, as) + 4, vpar);
-            bump(stats_.displacements);
-            obs::add(obs::Ctr::StoreBucket2Displacements);
-            uint32_t old = t.atomicCAS(keyAddr(bucket, s), victim, key);
-            if (old == victim || old == key) {
-                t.storeAddr<uint32_t>(payloadAddr(bucket, s), cs.sum);
-                t.storeAddr<uint32_t>(payloadAddr(bucket, s) + 4,
-                                      cs.parity);
-                return true;
-            }
-            bump(stats_.collisions);
-            obs::add(obs::Ctr::StoreBucket2Collisions);
-            break;
-        }
-    }
-    return false;
-}
-
-void
-Bucket2Table::insertLockBased(ThreadCtx &t, uint32_t key, Checksums cs)
-{
-    t.lockAcquire(lock_);
-    obs::add(obs::Ctr::StoreLockAcquires);
-    uint64_t cand[2] = {bucketOf(key, 0), bucketOf(key, 1)};
-    uint32_t fill[2] = {0, 0};
-    for (int c = 0; c < 2; ++c) {
-        bump(stats_.probes);
-        obs::add(obs::Ctr::StoreBucket2Probes);
-        for (uint32_t s = 0; s < kBucketWidth; ++s) {
-            uint32_t k = t.loadAddr<uint32_t>(keyAddr(cand[c], s));
-            if (k == key) {
-                t.storeAddr<uint32_t>(payloadAddr(cand[c], s), cs.sum);
-                t.storeAddr<uint32_t>(payloadAddr(cand[c], s) + 4,
-                                      cs.parity);
-                t.lockRelease(lock_);
-                return;
-            }
-            if (k != kEmptyKey)
-                ++fill[c];
-        }
-    }
-    int lighter = fill[1] < fill[0] ? 1 : 0;
-    for (int round = 0; round < 2; ++round) {
-        if (fill[lighter ^ round] >= kBucketWidth) {
-            bump(stats_.collisions);
-            obs::add(obs::Ctr::StoreBucket2Collisions);
-            continue;
-        }
-        uint64_t b = cand[lighter ^ round];
-        for (uint32_t s = 0; s < kBucketWidth; ++s) {
-            if (t.loadAddr<uint32_t>(keyAddr(b, s)) != kEmptyKey)
-                continue;
-            t.storeAddr<uint32_t>(keyAddr(b, s), key);
-            t.storeAddr<uint32_t>(payloadAddr(b, s), cs.sum);
-            t.storeAddr<uint32_t>(payloadAddr(b, s) + 4, cs.parity);
-            t.lockRelease(lock_);
-            return;
-        }
-    }
-    // Both full: displacement under the table lock (exclusive access,
-    // plain stores).
-    for (uint32_t d = 0; d < kMaxDisplacements; ++d) {
-        uint64_t b = cand[d & 1];
-        for (uint32_t s = 0; s < kBucketWidth; ++s) {
-            uint32_t victim = t.loadAddr<uint32_t>(keyAddr(b, s));
-            uint64_t alt = bucketOf(victim, 0) == b ? bucketOf(victim, 1)
-                                                    : bucketOf(victim, 0);
-            if (alt == b)
-                continue;
-            bump(stats_.probes);
-            obs::add(obs::Ctr::StoreBucket2Probes);
-            for (uint32_t as = 0; as < kBucketWidth; ++as) {
-                if (t.loadAddr<uint32_t>(keyAddr(alt, as)) != kEmptyKey)
-                    continue;
-                uint32_t vsum =
-                    t.loadAddr<uint32_t>(payloadAddr(b, s));
-                uint32_t vpar =
-                    t.loadAddr<uint32_t>(payloadAddr(b, s) + 4);
-                t.storeAddr<uint32_t>(keyAddr(alt, as), victim);
-                t.storeAddr<uint32_t>(payloadAddr(alt, as), vsum);
-                t.storeAddr<uint32_t>(payloadAddr(alt, as) + 4, vpar);
-                t.storeAddr<uint32_t>(keyAddr(b, s), key);
-                t.storeAddr<uint32_t>(payloadAddr(b, s), cs.sum);
-                t.storeAddr<uint32_t>(payloadAddr(b, s) + 4, cs.parity);
-                bump(stats_.displacements);
-                obs::add(obs::Ctr::StoreBucket2Displacements);
-                t.lockRelease(lock_);
-                return;
-            }
-        }
-    }
-    t.lockRelease(lock_);
-    stashInsert(t, key, cs);
-}
-
-void
-Bucket2Table::insertNoAtomic(ThreadCtx &t, uint32_t key, Checksums cs)
-{
-    // Sec. IV-D.3 applied to the bucketized table: plain
-    // load/compare/store claims with dependent global round trips, and
-    // the same write-then-verify poll loop the CAS-free quad insert
-    // needs (racing claimants can overwrite a plainly-claimed slot).
-    const Cycles rt = t.params().global_roundtrip_cycles;
-    uint64_t cand[2] = {bucketOf(key, 0), bucketOf(key, 1)};
-    uint32_t empty_mask[2] = {0, 0};
-    for (int c = 0; c < 2; ++c) {
-        bump(stats_.probes);
-        obs::add(obs::Ctr::StoreBucket2Probes);
-        for (uint32_t s = 0; s < kBucketWidth; ++s) {
-            uint32_t k = t.loadAddr<uint32_t>(keyAddr(cand[c], s));
-            t.stall(rt);
-            if (k == key) {
-                t.storeAddr<uint32_t>(payloadAddr(cand[c], s), cs.sum);
-                t.storeAddr<uint32_t>(payloadAddr(cand[c], s) + 4,
-                                      cs.parity);
-                return;
-            }
-            if (k == kEmptyKey)
-                empty_mask[c] |= 1u << s;
-        }
-    }
-    int lighter =
-        std::popcount(empty_mask[1]) > std::popcount(empty_mask[0]) ? 1
-                                                                    : 0;
-    for (int round = 0; round < 2; ++round) {
-        uint64_t b = cand[lighter ^ round];
-        uint32_t mask = empty_mask[lighter ^ round];
-        if (mask == 0) {
-            bump(stats_.collisions);
-            obs::add(obs::Ctr::StoreBucket2Collisions);
-            continue;
-        }
-        for (uint32_t s = 0; s < kBucketWidth; ++s) {
-            if ((mask & (1u << s)) == 0)
-                continue;
-            // Re-read the scanned-empty slot (a racing claimant may
-            // have taken it since), then claim with plain stores.
-            uint32_t k = t.loadAddr<uint32_t>(keyAddr(b, s));
-            t.stall(rt);
-            if (k != kEmptyKey && k != key) {
-                bump(stats_.collisions);
-                obs::add(obs::Ctr::StoreBucket2Collisions);
-                continue;
-            }
-            t.storeAddr<uint32_t>(keyAddr(b, s), key);
-            t.stall(rt);
-            t.storeAddr<uint32_t>(payloadAddr(b, s), cs.sum);
-            t.storeAddr<uint32_t>(payloadAddr(b, s) + 4, cs.parity);
-            for (uint32_t poll = 0; poll < kNoAtomicVerifyPolls; ++poll) {
-                (void)t.loadAddr<uint32_t>(keyAddr(b, s));
-                t.stall(rt);
-            }
-            return;
-        }
-    }
-    // Both full: plain-access displacement, then the stash (which
-    // always claims via atomicCAS, like the cuckoo stash).
-    for (uint32_t d = 0; d < kMaxDisplacements; ++d) {
-        uint64_t b = cand[d & 1];
-        for (uint32_t s = 0; s < kBucketWidth; ++s) {
-            uint32_t victim = t.loadAddr<uint32_t>(keyAddr(b, s));
-            t.stall(rt);
-            if (victim == kEmptyKey || victim == key)
-                continue;
-            uint64_t alt = bucketOf(victim, 0) == b ? bucketOf(victim, 1)
-                                                    : bucketOf(victim, 0);
-            if (alt == b)
-                continue;
-            bump(stats_.probes);
-            obs::add(obs::Ctr::StoreBucket2Probes);
-            for (uint32_t as = 0; as < kBucketWidth; ++as) {
-                uint32_t a = t.loadAddr<uint32_t>(keyAddr(alt, as));
-                t.stall(rt);
-                if (a != kEmptyKey)
-                    continue;
-                uint32_t vsum =
-                    t.loadAddr<uint32_t>(payloadAddr(b, s));
-                uint32_t vpar =
-                    t.loadAddr<uint32_t>(payloadAddr(b, s) + 4);
-                t.storeAddr<uint32_t>(keyAddr(alt, as), victim);
-                t.stall(rt);
-                t.storeAddr<uint32_t>(payloadAddr(alt, as), vsum);
-                t.storeAddr<uint32_t>(payloadAddr(alt, as) + 4, vpar);
-                t.storeAddr<uint32_t>(keyAddr(b, s), key);
-                t.stall(rt);
-                t.storeAddr<uint32_t>(payloadAddr(b, s), cs.sum);
-                t.storeAddr<uint32_t>(payloadAddr(b, s) + 4, cs.parity);
-                bump(stats_.displacements);
-                obs::add(obs::Ctr::StoreBucket2Displacements);
-                return;
-            }
-        }
-    }
-    stashInsert(t, key, cs);
-}
-
-void
-Bucket2Table::stashInsert(ThreadCtx &t, uint32_t key, Checksums cs)
-{
-    bump(stats_.stash_inserts);
-    obs::add(obs::Ctr::StoreBucket2StashInserts);
-    for (uint64_t slot = 0; slot < stash_slots_; ++slot) {
-        Addr entry = stash_ + slot * kEntryBytes;
-        uint32_t old = t.atomicCAS(entry, kEmptyKey, key);
-        if (old == kEmptyKey || old == key) {
-            t.storeAddr<uint32_t>(entry + 4, cs.sum);
-            t.storeAddr<uint32_t>(entry + 8, cs.parity);
-            return;
-        }
-    }
-    GPULP_PANIC("bucket2 stash overflow; raise the load-factor margin");
-}
-
-bool
-Bucket2Table::lookup(uint32_t key, Checksums *out) const
-{
-    const GlobalMemory &mem = dev_.mem();
-    for (uint32_t c = 0; c < 2; ++c) {
-        uint64_t b = bucketOf(key, c);
-        for (uint32_t s = 0; s < kBucketWidth; ++s) {
-            const char *entry = mem.raw(keyAddr(b, s));
-            uint32_t stored;
-            std::memcpy(&stored, entry, 4);
-            if (stored == key) {
-                std::memcpy(&out->sum, entry + 4, 4);
-                std::memcpy(&out->parity, entry + 8, 4);
-                return true;
-            }
-        }
-    }
-    // Full stash scan (no early exit on an empty slot): erase() punches
-    // holes, so emptiness mid-stash does not imply absence further on.
-    for (uint64_t slot = 0; slot < stash_slots_; ++slot) {
-        const char *entry = mem.raw(stash_ + slot * kEntryBytes);
-        uint32_t stored;
-        std::memcpy(&stored, entry, 4);
-        if (stored == key) {
-            std::memcpy(&out->sum, entry + 4, 4);
-            std::memcpy(&out->parity, entry + 8, 4);
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-Bucket2Table::erase(uint32_t key)
-{
-    GlobalMemory &mem = dev_.mem();
-    auto clearEntry = [&](Addr entry) {
-        uint32_t empty = kEmptyKey;
-        char *p = mem.raw(entry);
-        std::memcpy(p, &empty, 4);
-        std::memset(p + 4, 0, 12);
-    };
-    bool found = false;
-    // Clear every copy: displacement can leave a transient duplicate.
-    for (uint32_t c = 0; c < 2; ++c) {
-        uint64_t b = bucketOf(key, c);
-        for (uint32_t s = 0; s < kBucketWidth; ++s) {
-            uint32_t stored;
-            std::memcpy(&stored, mem.raw(keyAddr(b, s)), 4);
-            if (stored == key) {
-                clearEntry(keyAddr(b, s));
-                found = true;
-            }
-        }
-    }
-    for (uint64_t slot = 0; slot < stash_slots_; ++slot) {
-        Addr entry = stash_ + slot * kEntryBytes;
-        uint32_t stored;
-        std::memcpy(&stored, mem.raw(entry), 4);
-        if (stored == key) {
-            clearEntry(entry);
-            found = true;
-        }
-    }
-    return found;
-}
-
-void
-Bucket2Table::clear()
-{
-    GlobalMemory &mem = dev_.mem();
-    auto clear_region = [&](Addr base, uint64_t slots) {
-        for (uint64_t slot = 0; slot < slots; ++slot) {
-            char *entry = mem.raw(base + slot * kEntryBytes);
-            uint32_t empty = kEmptyKey;
-            std::memcpy(entry, &empty, 4);
-            std::memset(entry + 4, 0, 12);
-        }
-    };
-    clear_region(buckets_, num_buckets_ * kBucketWidth);
-    clear_region(stash_, stash_slots_);
-    *reinterpret_cast<uint32_t *>(mem.raw(lock_)) = 0;
-    stats_ = StoreStats{};
-}
-
-uint64_t
-Bucket2Table::capacity() const
-{
-    return num_buckets_ * kBucketWidth + stash_slots_;
-}
-
-uint64_t
-Bucket2Table::footprintBytes() const
-{
-    return (num_buckets_ * kBucketWidth + stash_slots_) * kEntryBytes;
-}
-
-// ---------------------------------------------------------------------
 // Bucket2OptTable
 // ---------------------------------------------------------------------
 
@@ -1013,6 +516,9 @@ Bucket2OptTable::Bucket2OptTable(Device &dev, uint64_t num_keys,
 {
     double lf = load_factor > 0.0 ? load_factor : kBucketDefaultLoad;
     GPULP_ASSERT(lf > 0.0 && lf <= 1.0, "bad load factor %f", lf);
+    // Exact sizing, like the other hashed tables: the measured load
+    // factor must match the target or the high-load comparison against
+    // quad/cuckoo is meaningless.
     num_buckets_ = ceilOdd(static_cast<uint64_t>(
         static_cast<double>(num_keys) / (lf * kBucketWidth) + 1.0));
     buckets_ =
@@ -1039,6 +545,8 @@ Bucket2OptTable::bucketOf(uint32_t key, uint32_t choice) const
     if (choice == 0)
         return b0;
     uint64_t b1 = mixHash(key, kBucketSeedB) % num_buckets_;
+    // The two choices must be distinct buckets or displacement cannot
+    // make progress for this key.
     if (b1 == b0)
         b1 = (b0 + 1) % num_buckets_;
     return b1;
@@ -1517,9 +1025,6 @@ makeChecksumStore(Device &dev, const LpConfig &cfg, uint64_t num_keys)
                                              cfg.load_factor);
       case TableKind::GlobalArray:
         return std::make_unique<GlobalArrayStore>(dev, num_keys);
-      case TableKind::Bucket2:
-        return std::make_unique<Bucket2Table>(dev, num_keys, cfg.lock,
-                                              cfg.load_factor);
       case TableKind::Bucket2Opt:
         return std::make_unique<Bucket2OptTable>(dev, num_keys,
                                                  cfg.load_factor);

@@ -18,10 +18,13 @@
  *    thread block, indexed directly by block ID. Collision-free,
  *    race-free, 100% load factor, minimum space.
  *
- * Each hashed table supports three insertion disciplines (LockMode):
- * lock-free atomics, one table-wide spin lock, or the CAS-free
- * plain-load/compare/store sequence of Sec. IV-D.3 (modelled as
- * dependent global round-trips plus a verification poll loop).
+ * Beyond the paper, Bucket2OptTable is a bucketized two-choice table
+ * guarded by per-bucket seqlocks (docs/CHECKSUM_TABLES.md §4).
+ *
+ * The paper's two hashed tables support three insertion disciplines
+ * (LockMode): lock-free atomics, one table-wide spin lock, or the
+ * CAS-free plain-load/compare/store sequence of Sec. IV-D.3 (modelled
+ * as dependent global round-trips plus a verification poll loop).
  *
  * Instrumentation counters (collisions, probes, kicks) are host-side
  * only and never perturb the timing model — they reproduce Table II.
@@ -64,10 +67,10 @@ constexpr uint32_t kUnwrittenChecksum = 0xffffffffu;
 struct StoreStats {
     uint64_t inserts = 0;
     uint64_t collisions = 0;   //!< occupied probes / eviction kicks
-    uint64_t probes = 0;       //!< total probe attempts (quad/bucket2)
+    uint64_t probes = 0;       //!< total probe attempts (quad/bucket2opt)
     uint64_t kicks = 0;        //!< total evictions performed (cuckoo)
-    uint64_t stash_inserts = 0;//!< cuckoo/bucket2 cycle fallbacks
-    uint64_t displacements = 0;//!< bucket2 move-to-alternate-bucket events
+    uint64_t stash_inserts = 0;//!< cuckoo/bucket2opt cycle fallbacks
+    uint64_t displacements = 0;//!< bucket2opt move-to-alternate-bucket events
     uint64_t opt_retries = 0;  //!< bucket2opt optimistic restarts
 
     bool operator==(const StoreStats &) const = default;
@@ -229,7 +232,8 @@ class CuckooTable : public ChecksumStore
 };
 
 /**
- * Bucketized power-of-two-choices table (WarpSpeed-style).
+ * Bucketized power-of-two-choices table (WarpSpeed-style) with
+ * optimistic per-bucket versions.
  *
  * Entries live in fixed-width buckets of kBucketWidth slots; each key
  * hashes to two candidate buckets and is inserted into the lighter
@@ -242,79 +246,14 @@ class CuckooTable : public ChecksumStore
  * bounded at load factors past 90%, where quadratic probing's chains
  * explode and cuckoo insertion stops terminating.
  *
- * Supports all three LockModes like the paper's tables: lock-free slot
- * claims via atomicCAS, one table-wide spin lock, or the CAS-free
- * plain-access discipline of Sec. IV-D.3.
- */
-class Bucket2Table : public ChecksumStore
-{
-  public:
-    /** Slots per bucket (one 128 B bucket = one warp-wide read). */
-    static constexpr uint32_t kBucketWidth = 8;
-
-    /** Displacement attempts before falling back to the stash. */
-    static constexpr uint32_t kMaxDisplacements = 16;
-
-    /**
-     * @param dev Device whose memory backs the table.
-     * @param num_keys Number of distinct keys (thread blocks) expected.
-     * @param mode Insertion discipline.
-     * @param load_factor Target load factor; <=0 uses the 0.9 default.
-     */
-    Bucket2Table(Device &dev, uint64_t num_keys, LockMode mode,
-                 double load_factor = 0.0);
-
-    void insert(ThreadCtx &t, uint32_t key, Checksums cs) override;
-    bool lookup(uint32_t key, Checksums *out) const override;
-    bool erase(uint32_t key) override;
-    void clear() override;
-    uint64_t capacity() const override;
-    uint64_t footprintBytes() const override;
-    const char *name() const override { return "bucket2"; }
-
-  private:
-    /** Candidate bucket index for hash choice @p choice in {0, 1}. */
-    uint64_t bucketOf(uint32_t key, uint32_t choice) const;
-
-    Addr keyAddr(uint64_t bucket, uint32_t slot) const;
-    Addr payloadAddr(uint64_t bucket, uint32_t slot) const;
-
-    void insertLockFree(ThreadCtx &t, uint32_t key, Checksums cs);
-    void insertLockBased(ThreadCtx &t, uint32_t key, Checksums cs);
-    void insertNoAtomic(ThreadCtx &t, uint32_t key, Checksums cs);
-
-    /**
-     * Lock-free displacement: move one incumbent of @p bucket to its
-     * alternate bucket and claim the freed slot for @p key. Returns
-     * false when no incumbent's alternate bucket has room.
-     */
-    bool displaceLockFree(ThreadCtx &t, uint64_t bucket, uint32_t key,
-                          Checksums cs);
-
-    /** Last-resort linear-probed stash (claims via atomicCAS). */
-    void stashInsert(ThreadCtx &t, uint32_t key, Checksums cs);
-
-    Device &dev_;
-    LockMode mode_;
-    uint64_t num_buckets_; //!< exact sizing from the target load factor
-    Addr buckets_;         //!< num_buckets_ x kBucketWidth x 16B entries
-    Addr stash_;
-    uint64_t stash_slots_;
-    Addr lock_;            //!< table-wide lock word (LockBased)
-};
-
-/**
- * Optimistic-versioned variant of Bucket2Table.
- *
- * Same two-choice bucket layout, but concurrency control is a
- * per-bucket seqlock instead of slot CAS or a table lock: each bucket
- * carries a 32-bit version word, even when quiescent. Writers claim a
- * bucket by CASing its version even -> odd, mutate slots with plain
- * stores, and release by bumping to the next even value. Readers (the
- * device-side probe() and host-side lookup()) snapshot the version,
- * probe with plain loads, and re-check that the version is unchanged
- * AND even — the parity check is what rules out reading a bucket mid-
- * write, and omitting it is the classic seqlock torn-read bug (see
+ * Concurrency control is a per-bucket seqlock: each bucket carries a
+ * 32-bit version word, even when quiescent. Writers claim a bucket by
+ * CASing its version even -> odd, mutate slots with plain stores, and
+ * release by bumping to the next even value. Readers (the device-side
+ * probe() and host-side lookup()) snapshot the version, probe with
+ * plain loads, and re-check that the version is unchanged AND even —
+ * the parity check is what rules out reading a bucket mid-write, and
+ * omitting it is the classic seqlock torn-read bug (see
  * OptimisticStoreTest.TornPayloadNeverObserved). Any mismatch restarts
  * the probe and counts an optimistic retry.
  *
@@ -326,10 +265,17 @@ class Bucket2Table : public ChecksumStore
 class Bucket2OptTable : public ChecksumStore
 {
   public:
-    static constexpr uint32_t kBucketWidth = Bucket2Table::kBucketWidth;
-    static constexpr uint32_t kMaxDisplacements =
-        Bucket2Table::kMaxDisplacements;
+    /** Slots per bucket (one 128 B bucket = one warp-wide read). */
+    static constexpr uint32_t kBucketWidth = 8;
 
+    /** Displacement attempts before falling back to the stash. */
+    static constexpr uint32_t kMaxDisplacements = 16;
+
+    /**
+     * @param dev Device whose memory backs the table.
+     * @param num_keys Number of distinct keys (thread blocks) expected.
+     * @param load_factor Target load factor; <=0 uses the 0.9 default.
+     */
     Bucket2OptTable(Device &dev, uint64_t num_keys,
                     double load_factor = 0.0);
 

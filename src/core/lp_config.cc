@@ -44,8 +44,6 @@ toString(TableKind kind)
         return "cuckoo";
       case TableKind::GlobalArray:
         return "array";
-      case TableKind::Bucket2:
-        return "bucket2";
       case TableKind::Bucket2Opt:
         return "bucket2opt";
     }
@@ -111,12 +109,10 @@ tableKindFromString(const std::string &name)
         return TableKind::Cuckoo;
     if (name == "array")
         return TableKind::GlobalArray;
-    if (name == "bucket2")
-        return TableKind::Bucket2;
     if (name == "bucket2opt")
         return TableKind::Bucket2Opt;
-    GPULP_FATAL("unknown table '%s' (want quad, cuckoo, array, bucket2 "
-                "or bucket2opt)",
+    GPULP_FATAL("unknown table '%s' (want quad, cuckoo, array or "
+                "bucket2opt)",
                 name.c_str());
 }
 

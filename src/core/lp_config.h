@@ -38,14 +38,16 @@ enum class ReductionKind : uint8_t {
 
 /**
  * Checksum-table organization (Sec. IV-C and Sec. V, plus the v2
- * engine's bucketized backends — see docs/CHECKSUM_TABLES.md).
+ * engine's bucketized backend — see docs/CHECKSUM_TABLES.md).
  */
 enum class TableKind : uint8_t {
     QuadProbe,   //!< open addressing with quadratic probing
     Cuckoo,      //!< two tables / two hash functions, eviction chains
     GlobalArray, //!< hash-table-less checksum global array (Sec. V)
-    Bucket2,     //!< bucketized power-of-two-choices (WarpSpeed-style)
-    Bucket2Opt,  //!< bucketized two-choice, optimistic per-bucket versions
+    /** Bucketized two-choice, optimistic per-bucket versions. Stays 4:
+     *  the fault campaign hashes the enum value into every cell's
+     *  crash points (mixSeed), so renumbering would move them. */
+    Bucket2Opt = 4,
 };
 
 /** Synchronization discipline for table insertion (Sec. IV-C.1/D.3-4). */
@@ -124,7 +126,7 @@ const char *toString(LockMode mode);
 /** Human-readable name for a persistency model. */
 const char *toString(PersistModel model);
 
-/** Parse "quad" / "cuckoo" / "array" / "bucket2" / "bucket2opt". */
+/** Parse "quad" / "cuckoo" / "array" / "bucket2opt". */
 TableKind tableKindFromString(const std::string &name);
 
 /** Parse "lockfree" / "lockbased" / "noatomic". */

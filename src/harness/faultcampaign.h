@@ -62,7 +62,6 @@ struct CampaignOptions {
     std::vector<TableKind> tables = {TableKind::QuadProbe,
                                      TableKind::Cuckoo,
                                      TableKind::GlobalArray,
-                                     TableKind::Bucket2,
                                      TableKind::Bucket2Opt};
 
     /** Checksum kinds to sweep. */

@@ -151,57 +151,66 @@ PersistLog::rebuildIndex()
     off_t file_size = ::lseek(fd_, 0, SEEK_END);
     GPULP_ASSERT(file_size >= 0, "persist_log: lseek failed on %s",
                  path_.c_str());
+    const uint64_t base = sizeof(FileHeader);
     const uint64_t size = static_cast<uint64_t>(file_size);
+    // Every entry byte in one read; the scan parses them in memory.
+    std::vector<uint8_t> bytes(size > base ? size - base : 0);
+    GPULP_ASSERT(bytes.empty() || readAt(base, bytes.data(), bytes.size()),
+                 "persist_log: cannot read %s", path_.c_str());
 
-    uint64_t off = sizeof(FileHeader);
-    std::vector<uint8_t> payload;
-    while (off < size) {
-        // A header cut short by the crash is a torn tail: truncate.
-        EntryHeader eh{};
-        if (off + sizeof(eh) > size || !readAt(off, &eh, sizeof(eh)))
-            break;
-        // A size that cannot be an entry means framing is lost from
-        // here on — everything past this point is unreachable.
-        if (eh.size > params_.max_entry_bytes)
-            break;
-        // Payload cut short: torn tail.
-        const uint64_t entry_end = off + sizeof(eh) + eh.size;
-        if (entry_end > size)
-            break;
-        payload.resize(eh.size);
-        if (eh.size != 0 && !readAt(off + sizeof(eh), payload.data(),
-                                    eh.size))
-            break;
-        if (entryCrc(eh.size, eh.key, payload.data()) != eh.crc) {
-            // The entry is complete but its bytes are wrong (bit rot,
-            // torn sector rewrite): reject it and keep scanning — the
-            // framing after it is intact.
+    // Bytes of the complete, CRC-valid entry at @p pos; 0 if none.
+    auto entryAt = [&](uint64_t pos, EntryHeader *eh) -> uint64_t {
+        if (bytes.size() - pos < sizeof(*eh))
+            return 0;
+        std::memcpy(eh, bytes.data() + pos, sizeof(*eh));
+        if (eh->size > params_.max_entry_bytes ||
+            eh->size > bytes.size() - pos - sizeof(*eh) ||
+            entryCrc(eh->size, eh->key, bytes.data() + pos + sizeof(*eh)) !=
+                eh->crc)
+            return 0;
+        return sizeof(*eh) + eh->size;
+    };
+
+    uint64_t pos = 0;
+    EntryHeader eh{};
+    while (pos < bytes.size()) {
+        uint64_t len = entryAt(pos, &eh);
+        if (len == 0) {
+            // A damaged entry (wrong size, key, payload or CRC, or cut
+            // short by a crash). Skip to the next offset that holds a
+            // complete CRC-valid entry, so one bad size field cannot
+            // take the intact entries behind it; only when none follows
+            // is this a torn tail.
+            uint64_t next = pos + 1;
+            while (next < bytes.size() && entryAt(next, &eh) == 0)
+                ++next;
+            if (next == bytes.size())
+                break;
             ++stats_.crc_rejected;
             obs::add(obs::Ctr::NvmLogCrcRejected);
-            wasted_ += sizeof(eh) + eh.size;
-            off = entry_end;
+            wasted_ += next - pos;
+            pos = next;
             continue;
         }
-        if (eh.size == 0) {
-            retireSlot(eh.key);
+        retireSlot(eh.key);
+        if (eh.size == 0)
             wasted_ += sizeof(eh); // the tombstone itself
-        } else {
-            retireSlot(eh.key);
-            index_[eh.key] = IndexSlot{off, eh.size};
-        }
-        off = entry_end;
+        else
+            index_[eh.key] = IndexSlot{base + pos, eh.size};
+        pos += len;
     }
 
-    if (off < size) {
+    const uint64_t end = base + pos;
+    if (end < size) {
         // Torn tail: drop the partial entry so future appends start on
         // a clean frame boundary.
-        stats_.torn_tail_bytes += size - off;
+        stats_.torn_tail_bytes += size - end;
         obs::add(obs::Ctr::NvmLogTornTruncations);
-        GPULP_ASSERT(::ftruncate(fd_, static_cast<off_t>(off)) == 0,
+        GPULP_ASSERT(::ftruncate(fd_, static_cast<off_t>(end)) == 0,
                      "persist_log: cannot truncate torn tail of %s",
                      path_.c_str());
     }
-    end_ = durable_ = off;
+    end_ = durable_ = end;
     stats_.entries_replayed = index_.size();
     obs::add(obs::Ctr::NvmLogReplayedEntries, index_.size());
 }

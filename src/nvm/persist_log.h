@@ -25,10 +25,11 @@
  *
  *  - append-only: every mutation is one buffered append; the last
  *    entry for a key wins, a tombstone (size 0) deletes the key;
- *  - open() scans the file and rebuilds the in-memory index. A torn
- *    tail — the header or payload cut short by a crash mid-write — is
- *    truncated; a *complete* entry whose CRC mismatches (bit rot,
- *    torn sector) is rejected and skipped;
+ *  - open() scans the file and rebuilds the in-memory index. A damaged
+ *    entry — bad size, key, payload or CRC (bit rot, torn sector) — is
+ *    skipped up to the next offset that holds a complete CRC-valid
+ *    entry; when none follows, the damage is a torn tail (a crash cut
+ *    the last write short) and is truncated;
  *  - appends gather in a small batch buffer and reach the file in
  *    batched writes (flush() forces the batch out and fdatasyncs), so
  *    the hot write-back path stays cheap. Anything still in the batch
@@ -76,8 +77,8 @@ struct PersistLogParams {
     double compact_waste_threshold = 0.5;
     size_t compact_min_bytes = 256 * 1024;
 
-    /** Entries claiming a larger payload than this are treated as
-     *  corruption (framing lost) and truncate the scan. */
+    /** Entries claiming a larger payload than this are damaged; the
+     *  scan resynchronizes past them. */
     size_t max_entry_bytes = 16 * 1024 * 1024;
 };
 
@@ -91,7 +92,7 @@ struct PersistLogStats {
     uint64_t compactions = 0;
     uint64_t compact_bytes_reclaimed = 0;
     uint64_t entries_replayed = 0;   //!< live entries indexed by open()
-    uint64_t crc_rejected = 0;       //!< complete entries failing CRC
+    uint64_t crc_rejected = 0;       //!< damaged entries skipped on open
     uint64_t torn_tail_bytes = 0;    //!< bytes truncated from a torn tail
 };
 
@@ -187,7 +188,8 @@ class PersistLog
   private:
     PersistLog(std::string path, const PersistLogParams &params, int fd);
 
-    /** Scan the file, build the index, truncate a torn tail. */
+    /** Scan the file, build the index, skip damaged entries and
+     *  truncate a torn tail. */
     void rebuildIndex();
 
     /** Account an indexed entry's death (supersede or tombstone). */

@@ -90,7 +90,7 @@ namespace gpulp::obs {
     X(StoreArrayInserts,   "store.array.inserts",    "inserts", "store")      \
     X(StoreBucket2Inserts, "store.bucket2.inserts",  "inserts", "store")      \
     X(StoreBucket2Probes,  "store.bucket2.probes",   "buckets", "store")      \
-    X(StoreBucket2Collisions, "store.bucket2.collisions", "slots", "store")   \
+    X(StoreBucket2Collisions, "store.bucket2.collisions", "buckets", "store") \
     X(StoreBucket2Displacements, "store.bucket2.displacements", "moves",      \
       "store")                                                                \
     X(StoreBucket2StashInserts, "store.bucket2.stash_inserts", "inserts",     \

@@ -114,4 +114,18 @@ CutcpWorkload::outputBytes() const
     return pot_.size() * sizeof(float);
 }
 
+std::vector<OutputSpan>
+CutcpWorkload::outputSpans() const
+{
+    return {{pot_.base(), pot_.size() * sizeof(float)}};
+}
+
+std::vector<OutputSpan>
+CutcpWorkload::blockOutputSpans(uint64_t rank) const
+{
+    // One lattice point per thread: block b owns
+    // pot_[b*kThreads, (b+1)*kThreads).
+    return {{pot_.addrOf(rank * kThreads), kThreads * sizeof(float)}};
+}
+
 } // namespace gpulp

@@ -122,4 +122,18 @@ HistoWorkload::outputBytes() const
     return partial_.size() * sizeof(uint32_t);
 }
 
+std::vector<OutputSpan>
+HistoWorkload::outputSpans() const
+{
+    return {{partial_.base(), partial_.size() * sizeof(uint32_t)}};
+}
+
+std::vector<OutputSpan>
+HistoWorkload::blockOutputSpans(uint64_t rank) const
+{
+    // One saturated partial per block: block b owns
+    // partial_[b*kBins, (b+1)*kBins).
+    return {{partial_.addrOf(rank * kBins), kBins * sizeof(uint32_t)}};
+}
+
 } // namespace gpulp

@@ -120,4 +120,18 @@ MriGriddingWorkload::outputBytes() const
     return grid_.size() * sizeof(float);
 }
 
+std::vector<OutputSpan>
+MriGriddingWorkload::outputSpans() const
+{
+    return {{grid_.base(), grid_.size() * sizeof(float)}};
+}
+
+std::vector<OutputSpan>
+MriGriddingWorkload::blockOutputSpans(uint64_t rank) const
+{
+    // One grid tile per block: block b owns
+    // grid_[b*kCellsPerBlock, (b+1)*kCellsPerBlock).
+    return {{grid_.addrOf(rank * kCellsPerBlock), kCellsPerBlock * sizeof(float)}};
+}
+
 } // namespace gpulp

@@ -46,6 +46,8 @@ class MriGriddingWorkload : public Workload
                     RecoverySet &failed) override;
     bool verify(std::string *why = nullptr) const override;
     uint64_t outputBytes() const override;
+    std::vector<OutputSpan> outputSpans() const override;
+    std::vector<OutputSpan> blockOutputSpans(uint64_t rank) const override;
     uint64_t
     persistentStoresPerThread() const override
     {
@@ -61,7 +63,7 @@ class MriGriddingWorkload : public Workload
     uint32_t blocks_;
     ArrayRef<float> sample_val_; //!< blocks x kSamplesPerBin values
     ArrayRef<float> sample_pos_; //!< blocks x kSamplesPerBin offsets
-    ArrayRef<float> grid_;       //!< blocks x kThreads cells
+    ArrayRef<float> grid_;       //!< blocks x kCellsPerBlock cells
     std::vector<float> reference_;
 };
 

@@ -145,4 +145,18 @@ TpacfWorkload::outputBytes() const
     return hist_.size() * sizeof(uint32_t);
 }
 
+std::vector<OutputSpan>
+TpacfWorkload::outputSpans() const
+{
+    return {{hist_.base(), hist_.size() * sizeof(uint32_t)}};
+}
+
+std::vector<OutputSpan>
+TpacfWorkload::blockOutputSpans(uint64_t rank) const
+{
+    // One partial histogram per block: block b owns
+    // hist_[b*kBins, (b+1)*kBins).
+    return {{hist_.addrOf(rank * kBins), kBins * sizeof(uint32_t)}};
+}
+
 } // namespace gpulp

@@ -49,6 +49,8 @@ class TpacfWorkload : public Workload
                     RecoverySet &failed) override;
     bool verify(std::string *why = nullptr) const override;
     uint64_t outputBytes() const override;
+    std::vector<OutputSpan> outputSpans() const override;
+    std::vector<OutputSpan> blockOutputSpans(uint64_t rank) const override;
     double quadLoadFactor() const override { return 0.67; }
     double cuckooLoadFactor() const override { return 0.44; }
 

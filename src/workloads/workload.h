@@ -95,9 +95,9 @@ class Workload
      * Golden-output capture hook: the device-memory spans holding this
      * workload's persistent output, valid after setup(). The fault
      * campaign snapshots these after a crash-free run and byte-diffs
-     * them against recovered state. Workloads whose output cannot be
-     * attributed (e.g. histo's shared atomic bins) return {} and are
-     * skipped by the campaign.
+     * them against recovered state. All eight paper kernels override
+     * it; a workload that returns {} cannot run crash trials
+     * (CrashTrial rejects it).
      */
     virtual std::vector<OutputSpan> outputSpans() const { return {}; }
 

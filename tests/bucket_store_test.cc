@@ -1,11 +1,11 @@
 /**
  * @file
- * Tests for the v2 bucketized checksum-table backends
+ * Tests for the v2 bucketized checksum-table backend, Bucket2OptTable
  * (docs/CHECKSUM_TABLES.md): two-choice insertion at >90% load factor,
- * displacement and stash coverage, erase, and the optimistic variant's
- * torn-read defenses — the seqlock version re-check, host-side
- * odd-version-as-miss, and the stuck-odd seizure path that a crash
- * mid-critical-section leaves behind.
+ * displacement and stash coverage, erase, and the seqlock's torn-read
+ * defenses — the version re-check, host-side odd-version-as-miss, and
+ * the stuck-odd seizure path that a crash mid-critical-section leaves
+ * behind.
  */
 
 #include <algorithm>
@@ -69,7 +69,7 @@ writeVersion(Device &dev, const Bucket2OptTable &table, uint64_t bucket,
 }
 
 // ---------------------------------------------------------------------
-// Bucket2Table
+// Two-choice layout: placement, displacement, stash, erase
 // ---------------------------------------------------------------------
 
 TEST(BucketStoreTest, RoundTripsEveryKeyAtNinetyFivePercentLoad)
@@ -79,7 +79,7 @@ TEST(BucketStoreTest, RoundTripsEveryKeyAtNinetyFivePercentLoad)
     // payload intact, at 95% load.
     constexpr uint32_t kKeys = 2048;
     Device dev;
-    Bucket2Table store(dev, kKeys, LockMode::LockFree, 0.95);
+    Bucket2OptTable store(dev, kKeys, 0.95);
     runSingleThread(dev, [&](ThreadCtx &t) {
         for (uint32_t key = 0; key < kKeys; ++key)
             store.insert(t, key, Checksums{key * 5, key ^ 0xa5a5a5a5u});
@@ -94,29 +94,11 @@ TEST(BucketStoreTest, RoundTripsEveryKeyAtNinetyFivePercentLoad)
     // At 95% load both candidate buckets of some keys must have filled,
     // so the displacement path is genuinely covered.
     EXPECT_GT(store.stats().displacements, 0u);
-}
-
-TEST(BucketStoreTest, OptimisticRoundTripsEveryKeyAtNinetyFivePercentLoad)
-{
-    constexpr uint32_t kKeys = 2048;
-    Device dev;
-    Bucket2OptTable store(dev, kKeys, 0.95);
-    runSingleThread(dev, [&](ThreadCtx &t) {
-        for (uint32_t key = 0; key < kKeys; ++key)
-            store.insert(t, key, Checksums{key * 5, key ^ 0xa5a5a5a5u});
-    });
-    for (uint32_t key = 0; key < kKeys; ++key) {
-        Checksums cs;
-        ASSERT_TRUE(store.lookup(key, &cs)) << "key " << key;
-        EXPECT_EQ(cs.sum, key * 5);
-        EXPECT_EQ(cs.parity, key ^ 0xa5a5a5a5u);
-    }
-    EXPECT_GT(store.stats().displacements, 0u);
     // Quiescent table: every version word must be even (no claim leaked
     // by tryPlaceLocked or the two-bucket displacement).
     uint64_t num_buckets = (store.capacity() -
                             std::max<uint64_t>(64, kKeys / 64)) /
-                           Bucket2Table::kBucketWidth;
+                           Bucket2OptTable::kBucketWidth;
     for (uint64_t b = 0; b < num_buckets; ++b)
         ASSERT_EQ(readVersion(dev, store, b) % 2, 0u) << "bucket " << b;
 }
@@ -124,7 +106,7 @@ TEST(BucketStoreTest, OptimisticRoundTripsEveryKeyAtNinetyFivePercentLoad)
 TEST(BucketStoreTest, EraseRemovesOnlyTheTargetKey)
 {
     Device dev;
-    Bucket2Table store(dev, 256, LockMode::LockFree, 0.9);
+    Bucket2OptTable store(dev, 256, 0.9);
     runSingleThread(dev, [&](ThreadCtx &t) {
         for (uint32_t key = 0; key < 256; ++key)
             store.insert(t, key, Checksums{key, ~key});
@@ -147,24 +129,6 @@ TEST(BucketStoreTest, EraseRemovesOnlyTheTargetKey)
     EXPECT_EQ(cs.sum, 99u);
 }
 
-TEST(BucketStoreTest, OptimisticEraseRemovesOnlyTheTargetKey)
-{
-    Device dev;
-    Bucket2OptTable store(dev, 256, 0.9);
-    runSingleThread(dev, [&](ThreadCtx &t) {
-        for (uint32_t key = 0; key < 256; ++key)
-            store.insert(t, key, Checksums{key, ~key});
-    });
-    EXPECT_TRUE(store.erase(42));
-    Checksums cs;
-    EXPECT_FALSE(store.lookup(42, &cs));
-    for (uint32_t key = 0; key < 256; ++key) {
-        if (key == 42)
-            continue;
-        ASSERT_TRUE(store.lookup(key, &cs)) << "key " << key;
-    }
-}
-
 TEST(BucketStoreTest, StashCatchesDisplacementExhaustion)
 {
     // A tiny table at 100% nominal load leaves zero slack: some keys
@@ -172,11 +136,12 @@ TEST(BucketStoreTest, StashCatchesDisplacementExhaustion)
     // and they must still be found (the stash is scanned fully).
     constexpr uint32_t kKeys = 512;
     Device dev;
-    Bucket2Table store(dev, kKeys, LockMode::LockFree, 1.0);
+    Bucket2OptTable store(dev, kKeys, 1.0);
     runSingleThread(dev, [&](ThreadCtx &t) {
         for (uint32_t key = 0; key < kKeys; ++key)
             store.insert(t, key, Checksums{key, key});
     });
+    EXPECT_GT(store.stats().stash_inserts, 0u);
     for (uint32_t key = 0; key < kKeys; ++key) {
         Checksums cs;
         ASSERT_TRUE(store.lookup(key, &cs)) << "key " << key;
@@ -186,17 +151,14 @@ TEST(BucketStoreTest, StashCatchesDisplacementExhaustion)
 TEST(BucketStoreTest, CapacityAndFootprintAccounting)
 {
     Device dev;
-    Bucket2Table store(dev, 1000, LockMode::LockFree, 0.9);
+    Bucket2OptTable store(dev, 1000, 0.9);
     // ceil(1000 / (0.9 * 8)) buckets (rounded up to odd) plus the
-    // 64-slot-minimum stash, 16 B per entry.
+    // 64-slot-minimum stash, 16 B per entry, plus one 4 B version word
+    // per bucket.
     EXPECT_GE(store.capacity(), 1000u);
-    EXPECT_EQ(store.footprintBytes(), store.capacity() * 16);
-
-    Bucket2OptTable opt(dev, 1000, 0.9);
-    // Same layout plus one 4 B version word per bucket.
     uint64_t buckets =
-        (opt.capacity() - 64) / Bucket2Table::kBucketWidth;
-    EXPECT_EQ(opt.footprintBytes(), opt.capacity() * 16 + buckets * 4);
+        (store.capacity() - 64) / Bucket2OptTable::kBucketWidth;
+    EXPECT_EQ(store.footprintBytes(), store.capacity() * 16 + buckets * 4);
 }
 
 TEST(BucketStoreTest, TwoChoicePlacementBalancesLoadVsSingleChoice)
@@ -205,7 +167,7 @@ TEST(BucketStoreTest, TwoChoicePlacementBalancesLoadVsSingleChoice)
     // play, collisions per insert at 90% load stay well below one.
     constexpr uint32_t kKeys = 4096;
     Device dev;
-    Bucket2Table store(dev, kKeys, LockMode::LockFree, 0.9);
+    Bucket2OptTable store(dev, kKeys, 0.9);
     runSingleThread(dev, [&](ThreadCtx &t) {
         for (uint32_t key = 0; key < kKeys; ++key)
             store.insert(t, key, Checksums{key, key});
@@ -328,22 +290,20 @@ TEST(OptimisticStoreTest, ClearResetsVersionsAndStats)
 
 TEST(BucketStoreTest, FaultCampaignSmokeCellPerBackend)
 {
-    // One campaign cell per new backend: injected crash points must
-    // classify with zero false-passes (no silent corruption) and the
-    // recovered output must match golden, same gate as the paper's
-    // three designs.
-    for (TableKind table : {TableKind::Bucket2, TableKind::Bucket2Opt}) {
-        CampaignOptions opts;
-        opts.scale = 0.004;
-        opts.workloads = {"tmm"};
-        opts.tables = {table};
-        opts.grid_points = 4;
-        opts.random_points = 2;
-        CampaignResult result = runFaultCampaign(opts);
-        EXPECT_TRUE(result.passed()) << toString(table);
-        ASSERT_EQ(result.cells.size(), 1u);
-        EXPECT_EQ(result.cells[0].falsePasses(), 0u) << toString(table);
-    }
+    // One campaign cell for the bucketized backend: injected crash
+    // points must classify with zero false-passes (no silent
+    // corruption) and the recovered output must match golden, same
+    // gate as the paper's three designs.
+    CampaignOptions opts;
+    opts.scale = 0.004;
+    opts.workloads = {"tmm"};
+    opts.tables = {TableKind::Bucket2Opt};
+    opts.grid_points = 4;
+    opts.random_points = 2;
+    CampaignResult result = runFaultCampaign(opts);
+    EXPECT_TRUE(result.passed());
+    ASSERT_EQ(result.cells.size(), 1u);
+    EXPECT_EQ(result.cells[0].falsePasses(), 0u);
 }
 
 TEST(OptimisticStoreTest, ExplorerCrashScheduleCrossingForcesRetryPath)

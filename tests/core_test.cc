@@ -356,9 +356,6 @@ INSTANTIATE_TEST_SUITE_P(
                       StoreCase{TableKind::Cuckoo, LockMode::NoAtomic},
                       StoreCase{TableKind::GlobalArray,
                                 LockMode::LockFree},
-                      StoreCase{TableKind::Bucket2, LockMode::LockFree},
-                      StoreCase{TableKind::Bucket2, LockMode::LockBased},
-                      StoreCase{TableKind::Bucket2, LockMode::NoAtomic},
                       StoreCase{TableKind::Bucket2Opt,
                                 LockMode::LockFree}),
     [](const ::testing::TestParamInfo<StoreCase> &info) {

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the file-backed persist log: CRC framing, torn-tail
- * truncation, corrupt-entry rejection, tombstones, compaction,
+ * truncation, corrupt-entry rejection and resynchronization past a
+ * damaged size field, tombstones, compaction,
  * index-rebuild determinism, every truncation and bit flip of a small
  * log plus seeded garbage and multi-bit damage, and the NvmCache
  * restore path a crashed process's successor runs.
@@ -419,6 +420,34 @@ seededDamageOf(const std::string &file, uint64_t seed)
     return out;
 }
 
+/** Payloads appended per key, oldest first. */
+using Appended = std::map<uint64_t, std::vector<std::vector<uint8_t>>>;
+
+/**
+ * A fresh log at @p path with five entries: keys 0x000, 0x080, 0x100
+ * and 0x080 again, then a tombstone for 0x100.
+ */
+Appended
+writeFiveEntryLog(const std::string &path)
+{
+    Appended appended;
+    auto log = PersistLog::open(path, {}, true);
+    if (log == nullptr) {
+        ADD_FAILURE() << "cannot create " << path;
+        return appended;
+    }
+    for (auto [key, seed, len] : {std::tuple{0x000, 1, 32},
+                                  {0x080, 2, 16},
+                                  {0x100, 3, 24},
+                                  {0x080, 4, 16}}) {
+        appended[key].push_back(patternPayload(seed, len));
+        log->append(key, appended[key].back().data(), len);
+    }
+    log->appendTombstone(0x100);
+    log->flush();
+    return appended;
+}
+
 TEST(PersistLogTest, EveryCorruptionIsRejectedOrServesAppendedPayloads)
 {
     // A damaged log must fail to open with a diagnostic, or serve for
@@ -427,21 +456,7 @@ TEST(PersistLogTest, EveryCorruptionIsRejectedOrServesAppendedPayloads)
     // and single-bit flip, seeded random garbage, and multi-bit flips.
     TempDir dir;
     const std::string path = dir.file("log");
-    std::map<uint64_t, std::vector<std::vector<uint8_t>>> appended;
-    {
-        auto log = PersistLog::open(path, {}, true);
-        ASSERT_NE(log, nullptr);
-        // 0x80 is overwritten and 0x100 tombstoned.
-        for (auto [key, seed, len] : {std::tuple{0x000, 1, 32},
-                                      {0x080, 2, 16},
-                                      {0x100, 3, 24},
-                                      {0x080, 4, 16}}) {
-            appended[key].push_back(patternPayload(seed, len));
-            log->append(key, appended[key].back().data(), len);
-        }
-        log->appendTombstone(0x100);
-        log->flush();
-    }
+    auto appended = writeFiveEntryLog(path);
     const std::string intact = slurp(path);
     std::vector<std::string> damaged = corruptionsOf(intact);
     for (std::string &bad : seededDamageOf(intact, /*seed=*/2024))
@@ -467,6 +482,35 @@ TEST(PersistLogTest, EveryCorruptionIsRejectedOrServesAppendedPayloads)
         NvmCache nvm(mem, NvmParams{});
         nvm.attachPersistLog(log.get());
         nvm.restoreFromLog();
+    }
+}
+
+TEST(PersistLogTest, DamagedSizeFieldKeepsTheEntriesBehindIt)
+{
+    // A wrong size field misframes everything after it. The scan must
+    // resynchronize on the next intact entry rather than truncate
+    // them all: each of the 32 single-bit flips of the first entry's
+    // size costs that entry alone.
+    TempDir dir;
+    const std::string path = dir.file("log");
+    Appended appended = writeFiveEntryLog(path);
+    const std::string intact = slurp(path);
+    for (uint64_t bit = 0; bit < 32; ++bit) {
+        SCOPED_TRACE("size bit " + std::to_string(bit));
+        std::string bad = intact;
+        char &byte = bad[kFileHeaderBytes + 4 + bit / 8];
+        byte = static_cast<char>(byte ^ (1 << (bit % 8)));
+        std::ofstream(path, std::ios::binary) << bad;
+        auto log = PersistLog::open(path, {}, /*truncate=*/false);
+        ASSERT_NE(log, nullptr);
+        std::vector<uint8_t> got;
+        EXPECT_FALSE(log->get(0x000, &got));
+        ASSERT_TRUE(log->get(0x080, &got));
+        EXPECT_EQ(got, appended[0x080].back());
+        EXPECT_FALSE(log->get(0x100, &got)) << "tombstone lost";
+        EXPECT_EQ(log->stats().crc_rejected, 1u);
+        EXPECT_EQ(log->stats().torn_tail_bytes, 0u);
+        EXPECT_EQ(fileSizeOnDisk(path), intact.size());
     }
 }
 

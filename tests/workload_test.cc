@@ -260,15 +260,12 @@ TEST(HarnessTest, SweepCellsMatchInEitherMeasurementOrder)
     // before it. The configs cover every table kind, lock mode,
     // reduction and checksum the views use.
     const auto quad = TableKind::QuadProbe, cuckoo = TableKind::Cuckoo;
-    const auto bucket2 = TableKind::Bucket2;
     const auto seq = ReductionKind::SequentialGlobal;
     const LpConfig configs[] = {
         LpConfig::naive(quad), LpConfig::naive(cuckoo),
-        LpConfig::naive(bucket2), LpConfig::naive(TableKind::Bucket2Opt),
-        LpConfig::scalable(),
+        LpConfig::naive(TableKind::Bucket2Opt), LpConfig::scalable(),
         {.table = quad, .lock = LockMode::LockBased},
         {.table = cuckoo, .lock = LockMode::LockBased},
-        {.table = bucket2, .lock = LockMode::LockBased},
         {.table = quad, .lock = LockMode::NoAtomic},
         {.table = cuckoo, .lock = LockMode::NoAtomic},
         {.reduction = seq, .table = quad},

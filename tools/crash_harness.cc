@@ -16,7 +16,7 @@
  * Usage:
  *   crash_harness [--workloads a,b,c] [--device mem|file] [--scale F]
  *                 [--seed N] [--grid N] [--random N] [--workers N]
- *                 [--table quad|cuckoo|array|bucket2|bucket2opt]
+ *                 [--table quad|cuckoo|array|bucket2opt]
  *                 [--checksum modular|parity|both]
  *                 [--log PATH] [--work-dir PATH] [--keep-files]
  *                 [--json PATH] [--quiet]
@@ -69,7 +69,7 @@ usage(const char *argv0)
         stderr,
         "usage: %s [--workloads a,b,c] [--device mem|file] [--scale F]\n"
         "          [--seed N] [--grid N] [--random N] [--workers N]\n"
-        "          [--table quad|cuckoo|array|bucket2|bucket2opt]\n"
+        "          [--table quad|cuckoo|array|bucket2opt]\n"
         "          [--checksum modular|parity|both]\n"
         "          [--batch BYTES] [--log PATH] [--work-dir PATH]\n"
         "          [--keep-files] [--json PATH] [--quiet]\n",

@@ -14,7 +14,7 @@
  *   fault_campaign [--scale F] [--seed N] [--grid N] [--random N]
  *                  [--workers N] [--workloads a,b,c]
  *                  [--models lazy,eager,strict,epoch-block,epoch-kernel]
- *                  [--tables quad,cuckoo,array,bucket2,bucket2opt]
+ *                  [--tables quad,cuckoo,array,bucket2opt]
  *                  [--checksums modular,parity,both]
  *                  [--json PATH] [--trace PATH] [--quiet]
  *
@@ -75,7 +75,7 @@ usage(const char *argv0)
         "          [--workers N] [--workloads a,b,c]\n"
         "          [--models lazy,eager,strict,epoch-block,"
         "epoch-kernel]\n"
-        "          [--tables quad,cuckoo,array,bucket2,bucket2opt]\n"
+        "          [--tables quad,cuckoo,array,bucket2opt]\n"
         "          [--checksums modular,parity,both]\n"
         "          [--json PATH] [--trace PATH] [--quiet]\n",
         argv0);

@@ -19,7 +19,7 @@
  * Usage:
  *   schedule_explorer [--scale F] [--seed N] [--schedules N]
  *                     [--workloads a,b,c] [--policies random,dpor]
- *                     [--table quad|cuckoo|array|bucket2|bucket2opt]
+ *                     [--table quad|cuckoo|array|bucket2opt]
  *                     [--crash-points N] [--crash-schedules N]
  *                     [--workers N] [--min-distinct N]
  *                     [--json PATH] [--trace PATH] [--quiet]
@@ -75,7 +75,7 @@ usage(const char *argv0)
         "usage: %s [--scale F] [--seed N] [--schedules N]\n"
         "          [--workloads a,b,c]\n"
         "          [--policies deterministic,random,dpor]\n"
-        "          [--table quad|cuckoo|array|bucket2|bucket2opt]\n"
+        "          [--table quad|cuckoo|array|bucket2opt]\n"
         "          [--crash-points N] [--crash-schedules N]\n"
         "          [--workers N] [--min-distinct N]\n"
         "          [--json PATH] [--trace PATH] [--quiet]\n",

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -68,6 +69,26 @@ writeVersion(Device &dev, const Bucket2OptTable &table, uint64_t bucket,
                 &v, 4);
 }
 
+/** Inserts keys [0, n) from one thread, each with payload
+ *  {key * 5, key ^ 0xa5a5a5a5}. */
+void
+insertKeys(Device &dev, Bucket2OptTable &store, uint32_t n)
+{
+    runSingleThread(dev, [&](ThreadCtx &t) {
+        for (uint32_t key = 0; key < n; ++key)
+            store.insert(t, key, Checksums{key * 5, key ^ 0xa5a5a5a5u});
+    });
+}
+
+/** Bucket count of a table sized for @p num_keys: its slots minus the
+ *  stash, over the bucket width. */
+uint64_t
+numBuckets(const Bucket2OptTable &store, uint64_t num_keys)
+{
+    return (store.capacity() - std::max<uint64_t>(64, num_keys / 64)) /
+           Bucket2OptTable::kBucketWidth;
+}
+
 // ---------------------------------------------------------------------
 // Two-choice layout: placement, displacement, stash, erase
 // ---------------------------------------------------------------------
@@ -80,10 +101,7 @@ TEST(BucketStoreTest, RoundTripsEveryKeyAtNinetyFivePercentLoad)
     constexpr uint32_t kKeys = 2048;
     Device dev;
     Bucket2OptTable store(dev, kKeys, 0.95);
-    runSingleThread(dev, [&](ThreadCtx &t) {
-        for (uint32_t key = 0; key < kKeys; ++key)
-            store.insert(t, key, Checksums{key * 5, key ^ 0xa5a5a5a5u});
-    });
+    insertKeys(dev, store, kKeys);
     for (uint32_t key = 0; key < kKeys; ++key) {
         Checksums cs;
         ASSERT_TRUE(store.lookup(key, &cs)) << "key " << key;
@@ -94,12 +112,19 @@ TEST(BucketStoreTest, RoundTripsEveryKeyAtNinetyFivePercentLoad)
     // At 95% load both candidate buckets of some keys must have filled,
     // so the displacement path is genuinely covered.
     EXPECT_GT(store.stats().displacements, 0u);
-    // Quiescent table: every version word must be even (no claim leaked
-    // by tryPlaceLocked or the two-bucket displacement).
-    uint64_t num_buckets = (store.capacity() -
-                            std::max<uint64_t>(64, kKeys / 64)) /
-                           Bucket2OptTable::kBucketWidth;
-    for (uint64_t b = 0; b < num_buckets; ++b)
+}
+
+TEST(BucketStoreTest, OptimisticRoundTripsEveryKeyAtNinetyFivePercentLoad)
+{
+    // The same displacement-heavy fill, checked on the seqlock: once
+    // quiescent, every version word must be even (no claim leaked by
+    // tryPlaceLocked or the two-bucket displacement).
+    constexpr uint32_t kKeys = 2048;
+    Device dev;
+    Bucket2OptTable store(dev, kKeys, 0.95);
+    insertKeys(dev, store, kKeys);
+    ASSERT_GT(store.stats().displacements, 0u);
+    for (uint64_t b = 0; b < numBuckets(store, kKeys); ++b)
         ASSERT_EQ(readVersion(dev, store, b) % 2, 0u) << "bucket " << b;
 }
 
@@ -127,6 +152,56 @@ TEST(BucketStoreTest, EraseRemovesOnlyTheTargetKey)
     });
     ASSERT_TRUE(store.lookup(17, &cs));
     EXPECT_EQ(cs.sum, 99u);
+}
+
+TEST(BucketStoreTest, OptimisticEraseRemovesOnlyTheTargetKey)
+{
+    // Erase of a stash-resident key: at 100% nominal load some keys sit
+    // in neither candidate bucket. Erasing one clears only its stash
+    // slot, and, being host-side, takes no bucket claim: every version
+    // word stays as the inserts left it.
+    constexpr uint32_t kKeys = 512;
+    Device dev;
+    Bucket2OptTable store(dev, kKeys, 1.0);
+    runSingleThread(dev, [&](ThreadCtx &t) {
+        for (uint32_t key = 0; key < kKeys; ++key)
+            store.insert(t, key, Checksums{key, ~key});
+    });
+    auto inABucket = [&](uint32_t key) {
+        for (uint32_t c = 0; c < 2; ++c) {
+            uint64_t b = Bucket2OptTestPeer::bucketOf(store, key, c);
+            for (uint32_t s = 0; s < Bucket2OptTable::kBucketWidth; ++s) {
+                uint32_t stored;
+                std::memcpy(&stored,
+                            dev.mem().raw(
+                                Bucket2OptTestPeer::keyAddr(store, b, s)),
+                            4);
+                if (stored == key)
+                    return true;
+            }
+        }
+        return false;
+    };
+    uint32_t victim = 0;
+    while (victim < kKeys && inABucket(victim))
+        ++victim;
+    ASSERT_LT(victim, kKeys) << "no key landed in the stash";
+    std::vector<uint32_t> versions;
+    for (uint64_t b = 0; b < numBuckets(store, kKeys); ++b)
+        versions.push_back(readVersion(dev, store, b));
+
+    EXPECT_TRUE(store.erase(victim));
+    Checksums cs;
+    EXPECT_FALSE(store.lookup(victim, &cs));
+    for (uint32_t key = 0; key < kKeys; ++key) {
+        if (key == victim)
+            continue;
+        ASSERT_TRUE(store.lookup(key, &cs)) << "key " << key;
+        EXPECT_EQ(cs.sum, key);
+        EXPECT_EQ(cs.parity, ~key);
+    }
+    for (uint64_t b = 0; b < versions.size(); ++b)
+        EXPECT_EQ(readVersion(dev, store, b), versions[b]) << "bucket " << b;
 }
 
 TEST(BucketStoreTest, StashCatchesDisplacementExhaustion)

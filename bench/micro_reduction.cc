@@ -65,17 +65,18 @@ BM_BlockReduceSequentialGlobal(benchmark::State &state)
 void
 BM_WarpReduceSingleVsDual(benchmark::State &state)
 {
-    // The Sec. VII-2 effect at warp scope: one extra shuffle per step.
+    // The Sec. VII-2 effect at warp scope: one extra shuffle per step,
+    // on a one-warp block.
     Device dev;
     bool dual = state.range(0) != 0;
     ChecksumKind kind =
         dual ? ChecksumKind::ModularParity : ChecksumKind::Modular;
-    LaunchConfig cfg(Dim3(1), Dim3(32));
+    LaunchConfig cfg(Dim3(1), Dim3(kWarpSize));
     Cycles cycles = 0;
     for (auto _ : state) {
         LaunchResult r = dev.launch(cfg, [&](ThreadCtx &t) {
             Checksums local{t.laneId(), t.laneId()};
-            warpReduceChecksums(t, local, kind);
+            blockReduceParallel(t, local, kind);
         });
         cycles = r.cycles;
     }

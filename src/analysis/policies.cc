@@ -44,16 +44,6 @@ TraceCollector::combinedSignature() const
 }
 
 uint64_t
-TraceCollector::totalDecisions() const
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    uint64_t n = 0;
-    for (const BlockTrace &b : blocks_)
-        n += b.decisions.size();
-    return n;
-}
-
-uint64_t
 TraceCollector::totalRaces() const
 {
     std::lock_guard<std::mutex> lk(mu_);

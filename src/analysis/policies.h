@@ -87,7 +87,6 @@ class TraceCollector
      */
     uint64_t combinedSignature() const;
 
-    uint64_t totalDecisions() const;
     uint64_t totalRaces() const;
 
     void clear();

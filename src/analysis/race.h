@@ -2,7 +2,7 @@
  * @file
  * Happens-before race analysis over one thread block's schedule trace.
  *
- * The scheduler yields only at collectives and the rank gate, so a
+ * The scheduler yields only at a rendezvous and the rank gate, so a
  * block run decomposes into *scheduling segments*: the instructions a
  * thread executes between one resume and its next park/exit. The
  * tracker maintains FastTrack-style state — a vector clock per thread,
@@ -12,10 +12,11 @@
  * happens-before relation.
  *
  * Synchronization edges recorded:
- *  - barrier / warp collective: every parked arriver joins its clock
- *    into the event; the completing arrival (releaser) joins at
- *    release; every released thread (and the releaser) then joins the
- *    event clock — a full join-all, matching __syncthreads semantics.
+ *  - rendezvous (barrier, fold, shuffle): every parked arriver joins
+ *    its clock into the event; the completing arrival (releaser)
+ *    joins at release; every released thread (and the releaser) then
+ *    joins the event clock — a full join-all, matching __syncthreads
+ *    semantics.
  *  - rank gate: join-all among the parked set at the wake. This is
  *    deliberately conservative (the gate orders blocks, not threads);
  *    see docs/SCHEDULE_EXPLORATION.md.

@@ -6,24 +6,6 @@
 
 namespace gpulp {
 
-namespace {
-
-LogLevel global_level = LogLevel::Warn;
-
-} // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    global_level = level;
-}
-
-LogLevel
-logLevel()
-{
-    return global_level;
-}
-
 namespace detail {
 
 std::string

@@ -4,8 +4,8 @@
  *
  * Follows the gem5 convention: panic() is for internal invariant
  * violations (a gpulp bug), fatal() is for unrecoverable user errors
- * (bad configuration), warn()/inform() report conditions without
- * stopping the simulation.
+ * (bad configuration), warn() reports a condition without stopping
+ * the simulation.
  */
 
 #ifndef GPULP_COMMON_LOGGING_H
@@ -18,20 +18,6 @@
 #include <string>
 
 namespace gpulp {
-
-/** Verbosity levels accepted by setLogLevel(). */
-enum class LogLevel {
-    Quiet = 0,   //!< only fatal/panic output
-    Warn = 1,    //!< warnings and above
-    Info = 2,    //!< informational messages and above
-    Debug = 3,   //!< everything, including debug traces
-};
-
-/** Set the global log verbosity. Thread-compatible, not thread-safe. */
-void setLogLevel(LogLevel level);
-
-/** Current global log verbosity. */
-LogLevel logLevel();
 
 namespace detail {
 
@@ -75,20 +61,7 @@ void emitLog(const char *tag, const std::string &msg);
 
 /** Warn about suspicious but survivable conditions. */
 #define GPULP_WARN(...)                                                       \
-    do {                                                                      \
-        if (::gpulp::logLevel() >= ::gpulp::LogLevel::Warn) {                 \
-            ::gpulp::detail::emitLog(                                         \
-                "warn", ::gpulp::detail::formatString(__VA_ARGS__));          \
-        }                                                                     \
-    } while (0)
-
-/** Informational status messages. */
-#define GPULP_INFORM(...)                                                     \
-    do {                                                                      \
-        if (::gpulp::logLevel() >= ::gpulp::LogLevel::Info) {                 \
-            ::gpulp::detail::emitLog(                                         \
-                "info", ::gpulp::detail::formatString(__VA_ARGS__));          \
-        }                                                                     \
-    } while (0)
+    ::gpulp::detail::emitLog("warn",                                          \
+                             ::gpulp::detail::formatString(__VA_ARGS__))
 
 #endif // GPULP_COMMON_LOGGING_H

@@ -39,12 +39,6 @@ ChecksumAccum::protectFloat(ThreadCtx &t, float value)
 }
 
 void
-ChecksumAccum::protectI32(ThreadCtx &t, int32_t value)
-{
-    protectU32(t, static_cast<uint32_t>(value));
-}
-
-void
 ChecksumAccum::foldHost(uint32_t bits)
 {
     switch (kind_) {

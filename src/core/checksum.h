@@ -84,9 +84,6 @@ class ChecksumAccum
     /** Fold a float (via ordered-int conversion), charging @p t. */
     void protectFloat(ThreadCtx &t, float value);
 
-    /** Fold a signed int. */
-    void protectI32(ThreadCtx &t, int32_t value);
-
     /** Untimed fold, for host-side revalidation. */
     void foldHost(uint32_t bits);
 

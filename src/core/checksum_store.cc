@@ -677,7 +677,6 @@ Bucket2OptTable::tryPlaceLocked(ThreadCtx &t, uint64_t bucket,
         if (k == key) {
             t.storeAddr<uint32_t>(payloadAddr(bucket, s), cs.sum);
             t.storeAddr<uint32_t>(payloadAddr(bucket, s) + 4, cs.parity);
-            obs::observe(obs::Hist::StoreBucket2ProbeLen, 1);
             return true;
         }
         if (k == kEmptyKey && empty_slot == kBucketWidth)
@@ -689,7 +688,6 @@ Bucket2OptTable::tryPlaceLocked(ThreadCtx &t, uint64_t bucket,
     t.storeAddr<uint32_t>(keyAddr(bucket, empty_slot), key);
     t.storeAddr<uint32_t>(payloadAddr(bucket, empty_slot), cs.sum);
     t.storeAddr<uint32_t>(payloadAddr(bucket, empty_slot) + 4, cs.parity);
-    obs::observe(obs::Hist::StoreBucket2ProbeLen, 2);
     return true;
 }
 

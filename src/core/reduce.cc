@@ -18,6 +18,28 @@ constexpr uint32_t kTreeSteps = std::countr_zero(kWarpSize);
 constexpr uint64_t kFusedTree = uint64_t{1} << 8;
 
 /**
+ * One warp's lane slots, scratch for replaying Listing 4's tree step
+ * by step on a partial warp. Each lane that deposited holds its value
+ * and cycle counter in its own slot; a step overwrites them with the
+ * lane's value and cycle after the step.
+ */
+struct WarpLanes {
+    uint32_t deposited = 0; //!< bitmask of lanes that deposited
+    std::array<uint64_t, kWarpSize> value{};
+    std::array<Cycles, kWarpSize> cycles{};
+
+    /** Latest cycle counter over the depositing lanes. */
+    Cycles
+    maxCycle() const
+    {
+        Cycles m = 0;
+        for (uint32_t bits = deposited; bits != 0; bits &= bits - 1)
+            m = std::max(m, cycles[std::countr_zero(bits)]);
+        return m;
+    }
+};
+
+/**
  * One shuffle of Listing 4's tree at each offset: the checksum halves
  * it carries and folds, and the compute ops a folding lane pays.
  */
@@ -40,9 +62,9 @@ struct Tree {
 };
 
 /**
- * The tree a warp collective or block fold names by @p arg: a
- * ChecksumKind (one 32-bit shuffle per step per active checksum) or
- * kFusedTree (both checksums in one 64-bit shuffle per step).
+ * The tree a block fold names by @p arg: a ChecksumKind (one 32-bit
+ * shuffle per step per active checksum) or kFusedTree (both checksums
+ * in one 64-bit shuffle per step).
  */
 Tree
 treeOf(uint64_t arg)
@@ -76,15 +98,14 @@ foldPass(const TreePass &pass, uint64_t mine, uint64_t got)
 }
 
 /**
- * One shfl_down step of Listing 4's tree, replayed on a warp
- * collective's lane slots. It charges exactly what one per-lane
- * shuffle round would: every depositing lane resumes one shuffle after
- * the step's latest arrival. A lane whose source (lane + offset) lies
- * below the live count (the number of lanes that deposited) then
- * folds the source's value, or its own when
- * the source did not deposit, and pays the pass's compute. Lanes are
- * visited in ascending order, so a source (always a higher lane) is
- * read before this step overwrites it.
+ * One shfl_down step of Listing 4's tree, replayed on a warp's lane
+ * slots. It charges exactly what one per-lane shuffle round would:
+ * every depositing lane resumes one shuffle after the step's latest
+ * arrival. A lane whose source (lane + offset) lies below the live
+ * count (the number of lanes that deposited) then folds the source's
+ * value, or its own when the source did not deposit, and pays the
+ * pass's compute. Lanes are visited in ascending order, so a source
+ * (always a higher lane) is read before this step overwrites it.
  */
 void
 treeStep(WarpLanes &x, const TimingParams &params, uint32_t offset,
@@ -115,32 +136,6 @@ replayTree(WarpLanes &x, const TimingParams &params, const Tree &tree)
         for (uint32_t i = 0; i < tree.passes; ++i)
             treeStep(x, params, offset, tree.pass[i]);
 }
-
-/** Listing 4 as a warp collective's release: the tree x.arg names. */
-void
-releaseTree(WarpLanes &x, const TimingParams &params)
-{
-    replayTree(x, params, treeOf(x.arg));
-}
-
-} // namespace
-
-Checksums
-warpReduceChecksums(ThreadCtx &t, Checksums local, ChecksumKind kind)
-{
-    const auto arg = static_cast<uint64_t>(kind);
-    return unpackChecksums(t.warpCollective(
-        packChecksums(local), &releaseTree, arg, treeOf(arg).steps()));
-}
-
-Checksums
-warpReduceFused(ThreadCtx &t, Checksums local)
-{
-    return unpackChecksums(t.warpCollective(
-        packChecksums(local), &releaseTree, kFusedTree, kTreeSteps));
-}
-
-namespace {
 
 /** What one warp's tree leaves for the rest of the fold. */
 struct WarpFold {
@@ -196,11 +191,11 @@ foldWarp(const Tree &tree, uint32_t mask, const uint64_t *value,
  * parks nothing, so warp 0 reads whatever that slot holds.
  */
 Cycles
-releaseBlockFold(BlockLanes &x, BlockState &block)
+releaseBlockFold(const Rendezvous &rv, BlockLanes &x, BlockState &block)
 {
     obs::TraceSpan span("checksum_fold", "core", block.rank(), "block");
     const TimingParams &p = block.params();
-    const Tree tree = treeOf(x.arg);
+    const Tree tree = treeOf(rv.arg);
     const uint32_t warps = block.numWarps();
     auto *parked = reinterpret_cast<uint64_t *>(block.sharedRaw(
         block.sharedSlot(kLpReduceSharedSlot, kWarpSize * sizeof(uint64_t))));

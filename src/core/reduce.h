@@ -7,7 +7,8 @@
  *  - ParallelShuffle: each warp reduces its lanes' partial checksums
  *    through register-to-register shfl_down exchanges (O(log N) steps);
  *    warp leaders park results in shared memory; warp 0 performs the
- *    final reduction. No global-memory traffic at all.
+ *    final reduction. No global-memory traffic at all. The simulator
+ *    runs it as one block rendezvous (blockReduceParallel).
  *
  *  - SequentialGlobal: every thread stages its partial checksums in a
  *    global scratch array and one thread of the block walks them
@@ -48,31 +49,20 @@ unpackChecksums(uint64_t packed)
 }
 
 /**
- * Warp-level checksum reduction via shfl_down (Listing 4). All live
- * lanes of the calling warp must participate. The full reduction is
- * valid on lane 0; other lanes receive partial values.
- *
- * One shuffle per step per active checksum, so ModularParity costs two
- * shuffles per step — the Sec. VII-2 cost increment of dual checksums.
- *
- * The simulator runs the whole tree as one warp collective: each lane
- * deposits once, and the last arriver replays the 5-step tree on the
- * deposits, charging every lane exactly the cycles its per-step
- * shuffles and folds would have cost. "Live" is the set of lanes that
- * deposited.
- */
-Checksums warpReduceChecksums(ThreadCtx &t, Checksums local,
-                              ChecksumKind kind);
-
-/**
- * Block-level parallel reduction (Listing 3): warp reduce, park per-warp
+ * Block-level parallel reduction (Listing 3): each warp reduces its
+ * lanes through a shfl_down tree (Listing 4), warp leaders park the
  * results in shared memory, barrier, warp 0 reduces the parked values,
  * barrier. The result is valid on flat thread 0; every other thread
  * gets zero checksums. All live threads must call.
  *
+ * One shuffle per tree step per active checksum, so ModularParity
+ * costs two shuffles per step — the Sec. VII-2 cost increment of dual
+ * checksums.
+ *
  * The simulator runs the whole of Listing 3 as one block rendezvous
  * (ThreadCtx::blockArrive): each thread deposits once, and the last
- * arriver computes every warp's tree (a full warp's in closed form), the
+ * arriver computes every warp's tree (a full warp's in closed form, a
+ * partial warp's step by step over the lanes that deposited), the
  * parking, warp 0's tree and both barriers, charging the cycles and
  * shuffles the per-warp steps would have. Only flat thread 0 waits for
  * the value; the others wait at their next device operation, or not at
@@ -101,13 +91,6 @@ Checksums blockReduceSequentialGlobal(ThreadCtx &t, Checksums local,
  * The result is valid on flat thread 0; all live threads must call.
  */
 Checksums blockReduceParallelFused(ThreadCtx &t, Checksums local);
-
-/**
- * The warp half of blockReduceParallelFused(): Listing 4 with both
- * checksums in one 64-bit shuffle per step, run as one warp collective
- * like warpReduceChecksums(). Valid on lane 0.
- */
-Checksums warpReduceFused(ThreadCtx &t, Checksums local);
 
 } // namespace gpulp
 

@@ -104,7 +104,6 @@ namespace gpulp::obs {
     X(SimWarps,            "sim.warps",              "warps",   "sim")        \
     X(SimBarrierWaits,     "sim.barrier_waits",      "arrivals", "sim")       \
     X(SimShuffles,         "sim.shuffles",           "exchanges", "sim")      \
-    X(SimWarpCollectives,  "sim.warp_collectives",   "deposits", "sim")       \
     X(SimGateWaits,        "sim.gate_waits",         "episodes", "sim")       \
     X(SimFiberSwitches,    "sim.fiber_switches",     "resumes", "sim")        \
     X(SimFiberWakeups,     "sim.fiber_wakeups",      "threads", "sim")        \
@@ -147,8 +146,6 @@ namespace gpulp::obs {
 /** Histogram catalog: symbol, dotted name, unit of samples, subsystem. */
 #define GPULP_HISTOGRAM_LIST(X)                                               \
     X(StoreQuadProbeLen,   "store.quad.probe_len",   "probes/insert",         \
-      "store")                                                                \
-    X(StoreBucket2ProbeLen, "store.bucket2.probe_len", "buckets/insert",      \
       "store")                                                                \
     X(StoreLoadFactorPct,  "store.load_factor_pct",  "percent", "store")      \
     X(SimBlockCycles,      "sim.block_cycles",       "cycles/block", "sim")   \

@@ -36,12 +36,6 @@ Device::addOrderedRegion(Addr base, size_t bytes)
     ordered_regions_.emplace_back(base, base + bytes);
 }
 
-void
-Device::clearOrderedRegions()
-{
-    ordered_regions_.clear();
-}
-
 uint32_t
 Device::resolveWorkers() const
 {

@@ -147,9 +147,6 @@ class Device
      */
     void addOrderedRegion(Addr base, size_t bytes);
 
-    /** Drop all declared ordered regions. */
-    void clearOrderedRegions();
-
     /**
      * Install a per-block schedule-policy factory (see
      * sim/sched_policy.h): every subsequent block run asks it for a

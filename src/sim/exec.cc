@@ -112,21 +112,18 @@ BlockState::reset(NvmCache *nvm, Dim3 block_idx, const LaunchConfig &cfg,
     gate_leader_ = false;
     num_threads_ = cfg.threadsPerBlock();
     num_warps_ = (num_threads_ + kWarpSize - 1) / kWarpSize;
-    live_ = num_threads_;
     crashed_ = false;
 
-    rv_arrived_ = 0;
-    rv_generation_ = 0;
-    rv_release_ = nullptr;
-    rv_lanes_.lanes.assign(num_warps_, 0);
-    rv_lanes_.value.resize(num_threads_);
-    rv_lanes_.cycles.resize(num_threads_);
-    rv_lanes_.max_arrival = 0;
-    rv_release_cycle_ = 0;
-
-    warps_.assign(num_warps_, WarpState{});
-    for (uint32_t w = 0; w < num_warps_; ++w)
-        warps_[w].live = std::min(kWarpSize, num_threads_ - w * kWarpSize);
+    block_rv_ = Rendezvous(0, 0, num_threads_);
+    warp_rv_.clear();
+    for (uint32_t w = 0; w < num_warps_; ++w) {
+        const uint32_t first = w * kWarpSize;
+        warp_rv_.emplace_back(1 + w, first,
+                              std::min(kWarpSize, num_threads_ - first));
+    }
+    lanes_.lanes.assign(num_warps_, 0);
+    lanes_.value.resize(num_threads_);
+    lanes_.cycles.resize(num_threads_);
 
     // Claims zero their own bytes; nothing else of the arena is visible.
     shared_next_ = 0;
@@ -143,18 +140,18 @@ BlockState::reset(NvmCache *nvm, Dim3 block_idx, const LaunchConfig &cfg,
 
 namespace {
 
-/** Expand a wait bitmap into flat tids for the policy's release hook. */
+/** Expand the waiters in [first, end) into flat tids for the policy's
+ *  release hook. */
 void
-collectWaiters(const std::vector<uint64_t> &bits, std::vector<uint32_t> &out)
+collectWaiters(const WaitSet &waiters, uint32_t first, uint32_t end,
+               std::vector<uint32_t> &out)
 {
     out.clear();
-    for (size_t w = 0; w < bits.size(); ++w) {
-        uint64_t word = bits[w];
-        while (word != 0) {
-            out.push_back(static_cast<uint32_t>(
-                w * 64 + static_cast<size_t>(std::countr_zero(word))));
-            word &= word - 1;
-        }
+    for (uint32_t i = first >> 6; i * 64 < end; ++i) {
+        for (uint64_t word = waiters.word(i, first, end); word != 0;
+             word &= word - 1)
+            out.push_back(i * 64 +
+                          static_cast<uint32_t>(std::countr_zero(word)));
     }
 }
 
@@ -163,7 +160,7 @@ collectWaiters(const std::vector<uint64_t> &bits, std::vector<uint32_t> &out)
 uint32_t
 BlockState::pickNext(uint32_t last)
 {
-    if (live_ == 0)
+    if (block_rv_.live == 0)
         return kNoThread;
     const uint32_t t =
         policy_ != nullptr
@@ -194,11 +191,12 @@ BlockState::retireFinished(uint32_t t)
         // it would have done, in the same order. The woken thread's
         // crash check would unwind it before it took the release cycle.
         ThreadCtx &thread = threads_[t];
-        thread.awaiting_ = false;
+        const Rendezvous &rv = *thread.awaiting_;
+        thread.awaiting_ = nullptr;
         if (nvm_ != nullptr && nvm_->crashPending())
             crashed_ = true;
         else
-            thread.cycles_ = rv_release_cycle_;
+            thread.cycles_ = rv.release_cycle;
         retire(thread);
         t = pickNext(t);
     } while (t != kNoThread && threads_[t].finished_);
@@ -219,12 +217,13 @@ BlockState::run(std::span<const std::unique_ptr<Fiber>> fibers,
     for (;;) {
         if (Fiber *first = claimNext(kNoThread))
             first->resume();
-        if (live_ == 0)
+        if (block_rv_.live == 0)
             break;
         if (gate_ == nullptr || gate_waiters_.empty())
             GPULP_PANIC("thread block (%u,%u,%u) deadlocked: %u threads "
                         "waiting on a collective that cannot release",
-                        block_idx_.x, block_idx_.y, block_idx_.z, live_);
+                        block_idx_.x, block_idx_.y, block_idx_.z,
+                        block_rv_.live);
         // Every live thread waits for lower ranks. Once this rank leads
         // the woken threads proceed; on a crash abort they observe the
         // latch and unwind via SimCrash. The wake is the runner's
@@ -235,7 +234,7 @@ BlockState::run(std::span<const std::unique_ptr<Fiber>> fibers,
         gate_->awaitLeader(rank_, [this] {
             return nvm_ != nullptr && nvm_->crashPending();
         });
-        wake(gate_waiters_,
+        wake(gate_waiters_, 0, num_threads_,
              SchedEvent{SchedEventKind::RankGate, gate_wake_epoch_++},
              SchedulePolicy::kNoTid);
     }
@@ -247,7 +246,12 @@ BlockState::run(std::span<const std::unique_ptr<Fiber>> fibers,
 void
 BlockState::suspend(uint32_t tid)
 {
-    if (Fiber *next = claimNext(tid))
+    Fiber *next = claimNext(tid);
+    // Retiring a finished thread in the pick may release the
+    // rendezvous tid parked on; tid is then the pick and runs on.
+    if (next == fibers_[tid].get())
+        return;
+    if (next != nullptr)
         Fiber::switchTo(*next);
     else
         Fiber::yield();
@@ -263,62 +267,20 @@ BlockState::parkOn(WaitSet &waiters, uint32_t tid, SchedEvent ev)
 }
 
 void
-BlockState::parkOnWarp(WarpState &w, uint32_t tid)
+BlockState::wake(WaitSet &waiters, uint32_t first, uint32_t end,
+                 SchedEvent ev, uint32_t releaser)
 {
     if (policy_ != nullptr) {
-        size_t warp_idx = static_cast<size_t>(&w - warps_.data());
-        policy_->onPark(tid, warpEvent(static_cast<uint32_t>(warp_idx)));
-    }
-    w.wait_mask |= uint64_t{1} << (tid & 63);
-    suspend(tid);
-}
-
-void
-BlockState::wake(WaitSet &waiters, SchedEvent ev, uint32_t releaser)
-{
-    if (policy_ != nullptr && waiters.count > 0) {
         std::vector<uint32_t> woken_tids;
-        collectWaiters(waiters.bits, woken_tids);
-        policy_->onRelease(ev, woken_tids.data(),
-                           static_cast<uint32_t>(woken_tids.size()),
-                           releaser);
+        collectWaiters(waiters, first, end, woken_tids);
+        if (!woken_tids.empty())
+            policy_->onRelease(ev, woken_tids.data(),
+                               static_cast<uint32_t>(woken_tids.size()),
+                               releaser);
     }
-    uint32_t woken = ready_.absorb(waiters);
+    uint32_t woken = ready_.absorb(waiters, first, end);
     if (woken > 0)
         obs::add(obs::Ctr::SimFiberWakeups, woken);
-}
-
-void
-BlockState::wakeWarp(WarpState &w, SchedEvent ev, uint32_t releaser)
-{
-    if (w.wait_mask == 0) {
-        // Nobody parked, but the round still released: an arriving
-        // releaser synchronized with lanes that never yielded.
-        if (policy_ != nullptr)
-            policy_->onRelease(ev, nullptr, 0, releaser);
-        return;
-    }
-    static_assert(64 % kWarpSize == 0,
-                  "a warp's tids must fit in one ready-set word");
-    size_t warp_idx = static_cast<size_t>(&w - warps_.data());
-    if (policy_ != nullptr) {
-        std::vector<uint32_t> woken_tids;
-        uint64_t mask = w.wait_mask;
-        uint32_t base =
-            static_cast<uint32_t>((warp_idx * kWarpSize) & ~size_t{63});
-        while (mask != 0) {
-            woken_tids.push_back(
-                base + static_cast<uint32_t>(std::countr_zero(mask)));
-            mask &= mask - 1;
-        }
-        policy_->onRelease(ev, woken_tids.data(),
-                           static_cast<uint32_t>(woken_tids.size()),
-                           releaser);
-    }
-    uint32_t woken =
-        ready_.absorbWord((warp_idx * kWarpSize) >> 6, w.wait_mask);
-    w.wait_mask = 0;
-    obs::add(obs::Ctr::SimFiberWakeups, woken);
 }
 
 Fiber *
@@ -330,7 +292,7 @@ BlockState::exitThread(ThreadCtx &thread, bool crashed)
         // rendezvous wait list, live, until a pick retires it.
         thread.finished_ = true;
         if (policy_ != nullptr)
-            policy_->onPark(thread.flat_tid_, rendezvousEvent());
+            policy_->onPark(thread.flat_tid_, thread.awaiting_->event());
         rv_waiters_.park(thread.flat_tid_);
     } else {
         retire(thread);
@@ -343,23 +305,22 @@ BlockState::retire(ThreadCtx &thread)
 {
     GPULP_ASSERT(!thread.exited_, "thread exited twice");
     thread.exited_ = true;
-    GPULP_ASSERT(live_ > 0, "more exits than live threads");
-    --live_;
-
-    WarpState &warp = warps_[thread.warpId()];
-    GPULP_ASSERT(warp.live > 0, "more lane exits than live lanes");
+    Rendezvous &warp = warp_rv_[thread.warpId()];
+    GPULP_ASSERT(block_rv_.live > 0 && warp.live > 0,
+                 "more exits than live threads");
+    --block_rv_.live;
     --warp.live;
 
     if (policy_ != nullptr)
         policy_->onExit(thread.flat_tid_);
 
-    // A departing thread may have been the last straggler the
-    // rendezvous or a warp collective was waiting for. The exit is not
-    // an arrival, so no releaser tid: the departing thread's later
+    // A departing thread may have been the last straggler the block's
+    // or its warp's rendezvous was waiting for. The exit is not an
+    // arrival, so no releaser tid: the departing thread's later
     // accesses (there are none) must not be ordered before the woken
     // threads'.
-    maybeReleaseRendezvous(SchedulePolicy::kNoTid);
-    maybeReleaseWarp(warp, SchedulePolicy::kNoTid);
+    maybeRelease(block_rv_, SchedulePolicy::kNoTid);
+    maybeRelease(warp, SchedulePolicy::kNoTid);
 }
 
 size_t
@@ -418,26 +379,26 @@ BlockState::gateOrdering(uint32_t tid)
 }
 
 void
-BlockState::arrive(ThreadCtx &t, BlockReleaseFn release, uint64_t arg)
+BlockState::arrive(ThreadCtx &t, Rendezvous &rv, ReleaseFn release,
+                   uint64_t arg)
 {
-    BlockLanes &x = rv_lanes_;
-    if (rv_arrived_ == 0) {
-        rv_release_ = release;
-        x.arg = arg;
+    if (rv.arrived == 0) {
+        rv.release = release;
+        rv.arg = arg;
     } else {
-        GPULP_ASSERT(rv_release_ == release && x.arg == arg,
-                     "divergent block rendezvous (argument %llu vs %llu)",
-                     static_cast<unsigned long long>(x.arg),
+        GPULP_ASSERT(rv.release == release && rv.arg == arg,
+                     "divergent rendezvous (argument %llu vs %llu)",
+                     static_cast<unsigned long long>(rv.arg),
                      static_cast<unsigned long long>(arg));
     }
-    x.max_arrival = std::max(x.max_arrival, t.cycles_);
-    ++rv_arrived_;
-    const uint64_t gen = rv_generation_;
-    maybeReleaseRendezvous(t.flat_tid_);
-    if (rv_generation_ == gen)
-        t.awaiting_ = true;
+    rv.max_arrival = std::max(rv.max_arrival, t.cycles_);
+    ++rv.arrived;
+    const uint64_t gen = rv.generation;
+    maybeRelease(rv, t.flat_tid_);
+    if (rv.generation == gen)
+        t.awaiting_ = &rv;
     else
-        t.cycles_ = rv_release_cycle_;
+        t.cycles_ = rv.release_cycle;
 }
 
 void
@@ -445,43 +406,32 @@ BlockState::awaitRelease(ThreadCtx &t)
 {
     // No other fiber has run since t arrived, so the rendezvous is
     // still pending: park exactly where the arrival would have parked.
-    const uint64_t gen = rv_generation_;
-    parkOn(rv_waiters_, t.flat_tid_, rendezvousEvent());
-    GPULP_ASSERT(rv_generation_ != gen,
+    Rendezvous &rv = *t.awaiting_;
+    const uint64_t gen = rv.generation;
+    parkOn(rv_waiters_, t.flat_tid_, rv.event());
+    GPULP_ASSERT(rv.generation != gen,
                  "tid %u woke before its rendezvous released", t.flat_tid_);
-    t.awaiting_ = false;
+    t.awaiting_ = nullptr;
     checkCrash();
-    t.cycles_ = rv_release_cycle_;
+    t.cycles_ = rv.release_cycle;
 }
 
 void
-BlockState::maybeReleaseRendezvous(uint32_t releaser)
+BlockState::maybeRelease(Rendezvous &rv, uint32_t releaser)
 {
-    if (rv_arrived_ == 0 || rv_arrived_ != live_)
+    if (rv.arrived == 0 || rv.arrived != rv.live)
         return;
     // Capture the event before the generation bump: waiters parked on
     // generation g are released by the event named g.
-    SchedEvent ev = rendezvousEvent();
-    rv_release_cycle_ = rv_release_(rv_lanes_, *this);
-    rv_arrived_ = 0;
-    rv_lanes_.max_arrival = 0;
-    std::fill(rv_lanes_.lanes.begin(), rv_lanes_.lanes.end(), 0u);
-    ++rv_generation_;
-    wake(rv_waiters_, ev, releaser);
-}
-
-void
-BlockState::maybeReleaseWarp(WarpState &w, uint32_t releaser)
-{
-    if (w.arrived == 0 || w.arrived != w.live)
-        return;
-    SchedEvent ev =
-        warpEvent(static_cast<uint32_t>(&w - warps_.data()));
-    w.release(w.slots, timing_.params());
-    w.arrived = 0;
-    w.slots.deposited = 0;
-    ++w.generation;
-    wakeWarp(w, ev, releaser);
+    const SchedEvent ev = rv.event();
+    rv.release_cycle = rv.release(rv, lanes_, *this);
+    rv.arrived = 0;
+    rv.max_arrival = 0;
+    const uint32_t end = rv.first + rv.size;
+    std::fill(lanes_.lanes.begin() + rv.first / kWarpSize,
+              lanes_.lanes.begin() + (end + kWarpSize - 1) / kWarpSize, 0u);
+    ++rv.generation;
+    wake(rv_waiters_, rv.first, end, ev, releaser);
 }
 
 // ---------------------------------------------------------------------
@@ -633,9 +583,9 @@ namespace {
 
 /** __syncthreads' release: everyone resumes after the latest arrival. */
 Cycles
-releaseBarrier(BlockLanes &x, BlockState &block)
+releaseBarrier(const Rendezvous &rv, BlockLanes &, BlockState &block)
 {
-    return x.max_arrival + block.params().barrier_cycles;
+    return rv.max_arrival + block.params().barrier_cycles;
 }
 
 } // namespace
@@ -645,65 +595,33 @@ ThreadCtx::syncthreads()
 {
     enterOp();
     // The barrier's release reads only the latest arrival: no deposit.
-    block_.arrive(*this, &releaseBarrier, 0);
+    block_.arrive(*this, block_.block_rv_, &releaseBarrier, 0);
     obs::add(obs::Ctr::SimBarrierWaits);
 }
 
 void
-ThreadCtx::blockArrive(uint64_t value, BlockReleaseFn release, uint64_t arg)
+ThreadCtx::deposit(Rendezvous &rv, uint64_t value, ReleaseFn release,
+                   uint64_t arg)
 {
     enterOp();
-    BlockLanes &x = block_.rv_lanes_;
+    BlockLanes &x = block_.lanes_;
     x.value[flat_tid_] = value;
     x.cycles[flat_tid_] = cycles_;
     x.lanes[warpId()] |= 1u << laneId();
-    block_.arrive(*this, release, arg);
+    block_.arrive(*this, rv, release, arg);
+}
+
+void
+ThreadCtx::blockArrive(uint64_t value, ReleaseFn release, uint64_t arg)
+{
+    deposit(block_.block_rv_, value, release, arg);
 }
 
 uint64_t
 ThreadCtx::blockResult()
 {
     settle();
-    return block_.rv_lanes_.value[flat_tid_];
-}
-
-uint64_t
-ThreadCtx::warpCollective(uint64_t value, WarpReleaseFn release,
-                          uint64_t arg, uint32_t shuffle_steps)
-{
-    enterOp();
-    BlockState &b = block_;
-    obs::add(obs::Ctr::SimWarpCollectives);
-    obs::add(obs::Ctr::SimShuffles, shuffle_steps);
-    WarpState &w = b.warps_[warpId()];
-    WarpLanes &x = w.slots;
-    const uint32_t lane = laneId();
-    const uint64_t gen = w.generation;
-
-    if (w.arrived == 0) {
-        w.release = release;
-        x.arg = arg;
-    } else {
-        GPULP_ASSERT(w.release == release && x.arg == arg,
-                     "divergent collectives within a warp (argument "
-                     "%llu vs %llu)",
-                     static_cast<unsigned long long>(x.arg),
-                     static_cast<unsigned long long>(arg));
-    }
-    GPULP_ASSERT((x.deposited & (1u << lane)) == 0,
-                 "lane %u deposited twice in one warp collective", lane);
-
-    x.value[lane] = value;
-    x.cycles[lane] = cycles_;
-    x.deposited |= 1u << lane;
-    ++w.arrived;
-    b.maybeReleaseWarp(w, flat_tid_);
-    while (w.generation == gen) {
-        b.parkOnWarp(w, flat_tid_);
-        b.checkCrash();
-    }
-    cycles_ = x.cycles[lane];
-    return x.value[lane];
+    return block_.lanes_.value[flat_tid_];
 }
 
 namespace {
@@ -711,23 +629,24 @@ namespace {
 /**
  * shfl_down release: lane i takes lane i+delta's deposit, or keeps its
  * own when that lane is out of range or did not deposit; every lane
- * resumes one shuffle after the latest arrival. Lanes are visited in
- * ascending order, so a source (always a higher lane) is read before
- * its own slot is overwritten.
+ * resumes one shuffle after the warp's latest arrival. Lanes are
+ * visited in ascending order, so a source (always a higher lane) is
+ * read before its own slot is overwritten.
  */
-void
-releaseShflDown(WarpLanes &x, const TimingParams &params)
+Cycles
+releaseShflDown(const Rendezvous &rv, BlockLanes &x, BlockState &block)
 {
-    const Cycles resume = x.maxCycle() + params.shuffle_cycles;
-    const uint64_t delta = x.arg;
-    for (uint32_t bits = x.deposited; bits != 0; bits &= bits - 1) {
+    const uint32_t deposited = x.lanes[rv.first / kWarpSize];
+    uint64_t *value = &x.value[rv.first];
+    const uint64_t delta = rv.arg;
+    for (uint32_t bits = deposited; bits != 0; bits &= bits - 1) {
         const uint32_t lane =
             static_cast<uint32_t>(std::countr_zero(bits));
         const uint64_t src = lane + delta;
-        if (delta > 0 && src < kWarpSize && (x.deposited >> src & 1))
-            x.value[lane] = x.value[src];
-        x.cycles[lane] = resume;
+        if (delta > 0 && src < kWarpSize && (deposited >> src & 1))
+            value[lane] = value[src];
     }
+    return rv.max_arrival + block.params().shuffle_cycles;
 }
 
 } // namespace
@@ -735,8 +654,9 @@ releaseShflDown(WarpLanes &x, const TimingParams &params)
 uint64_t
 ThreadCtx::shflDownRaw(uint64_t value, uint32_t delta)
 {
-    return warpCollective(value, &releaseShflDown, delta,
-                          /*shuffle_steps=*/1);
+    deposit(block_.warp_rv_[warpId()], value, &releaseShflDown, delta);
+    obs::add(obs::Ctr::SimShuffles);
+    return blockResult();
 }
 
 uint32_t

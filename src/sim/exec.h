@@ -1,35 +1,31 @@
 /**
  * @file
- * SIMT execution state: per-warp collective state, per-block state
- * (block rendezvous, shared memory) and the ThreadCtx device API that
- * kernels program against.
+ * SIMT execution state: per-block state (the block's and its warps'
+ * rendezvous, shared memory) and the ThreadCtx device API that kernels
+ * program against.
  *
  * Execution model: every thread of a block runs on its own fiber,
- * scheduled event-driven. Fibers suspend at exactly three places, the
+ * scheduled event-driven. Fibers suspend at exactly two places, the
  * points where SIMT hardware requires convergence or ordering:
  *
- *  - the block rendezvous. __syncthreads() is one, and so is a whole
- *    LP region fold (Listing 3): every live thread deposits a value
- *    and its cycle counter, and the last to arrive runs the release,
- *    which sets the cycle every thread resumes at (and the fold's
- *    value). An arrival never parks. The thread waits for the release
- *    at its next device operation (the wait rule, ThreadCtx::settle)
- *    instead, and a thread whose kernel returns first waits as a
+ *  - a rendezvous (struct Rendezvous), of the whole block or of one
+ *    warp. __syncthreads() and a whole LP region fold (Listing 3) are
+ *    block rendezvous, and a shfl_down is a warp rendezvous: every live
+ *    participant deposits a value and its cycle counter, and the last
+ *    to arrive runs the release, which sets the cycle every participant
+ *    resumes at (and the results). An arrival never parks. The thread
+ *    waits for the release at its next device operation (the wait
+ *    rule, ThreadCtx::settle) instead; a shuffle's next operation is
+ *    reading its result. A thread whose kernel returns first waits as a
  *    finished thread, which the scheduler retires in place when it
  *    picks it, with no context switch. Fibers are cooperative, so no
  *    other fiber runs between an arrival and the thread's next device
  *    operation: parking there makes the same picks, releases and
  *    policy calls as parking at the arrival;
- *  - a warp collective (ThreadCtx::warpCollective), once per
- *    collective. A single shfl_down is one collective, and so is a
- *    whole shuffle-tree reduction: every lane deposits once, the last
- *    arriver computes all lanes' results and cycles, and each parked
- *    lane wakes once, however many shuffle steps the tree models;
  *  - the rank gate, before a block's first ordering-sensitive access.
  *
  * A fiber suspends by parking on a wait list keyed to the event that
- * will satisfy it (rendezvous generation, per-warp collective
- * generation, rank-gate frontier).
+ * will satisfy it (rendezvous generation, rank-gate frontier).
  * Releasing the event moves its waiters back to the ready set; a
  * parked fiber is never resumed just to re-poll. Ready fibers run in
  * cyclic flat-tid order, which reproduces the retired poll-everything
@@ -53,7 +49,6 @@
 #define GPULP_SIM_EXEC_H
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -84,85 +79,86 @@ class ThreadCtx;
  */
 using OrderedRegions = std::vector<std::pair<Addr, Addr>>;
 
-/**
- * The lane slots of one warp collective, as its release function sees
- * them. Each live lane deposits its value and cycle counter in its own
- * slot; the release function overwrites every depositing lane's slot
- * with that lane's result and resume cycle. A lane reads only its own
- * slot, and deposits again only after reading it, so one pair of
- * arrays serves both directions.
- */
-struct WarpLanes {
-    uint32_t deposited = 0; //!< bitmask of lanes that deposited
-    uint64_t arg = 0;       //!< the collective's argument (e.g. delta)
-    std::array<uint64_t, kWarpSize> value{}; //!< deposit in, result out
-    std::array<Cycles, kWarpSize> cycles{};  //!< arrival in, resume out
-
-    /** Latest cycle counter over the depositing lanes. */
-    Cycles
-    maxCycle() const
-    {
-        Cycles m = 0;
-        for (uint32_t bits = deposited; bits != 0; bits &= bits - 1)
-            m = std::max(m, cycles[std::countr_zero(bits)]);
-        return m;
-    }
-};
-
-/**
- * A warp collective's release function: run once, by the last lane to
- * arrive, over every lane's deposit. It must write the result and the
- * resume cycle of every depositing lane.
- */
-using WarpReleaseFn = void (*)(WarpLanes &lanes, const TimingParams &params);
-
-/** Collective-exchange state for one warp. */
-struct WarpState {
-    uint32_t live = 0;           //!< lanes that have not exited
-    uint32_t arrived = 0;        //!< lanes at the current collective
-    uint64_t generation = 0;     //!< bumps when a collective releases
-    WarpReleaseFn release = nullptr; //!< the current collective's release
-    WarpLanes slots;             //!< per-lane deposits and results
-
-    /**
-     * Flat tids parked on this round, as bits positioned within the
-     * ready-set word the warp's tids live in. A warp spans 32
-     * consecutive tids, so (64 % kWarpSize == 0) guarantees they all
-     * fall inside one 64-bit word — waking the warp is a single OR.
-     */
-    uint64_t wait_mask = 0;
-};
-
 class BlockState;
 
 /**
- * The deposits of one block rendezvous, as its release function sees
- * them. A thread arriving through ThreadCtx::blockArrive deposits its
- * value and cycle counter in its own slot, indexed by flat tid; the
- * release function may overwrite a thread's value with its result. A
- * thread reads only its own slot, and deposits again only after
- * reading it. __syncthreads deposits nothing: its release reads only
- * the latest arrival, which every arrival updates.
+ * The deposits of a block's rendezvous, as a release function sees
+ * them. A thread arriving through ThreadCtx::blockArrive or a shuffle
+ * deposits its value and cycle counter in its own slot, indexed by
+ * flat tid; the release function may overwrite a thread's value with
+ * its result. A thread reads only its own slot, and deposits again
+ * only after reading it. __syncthreads deposits nothing: its release
+ * reads only the latest arrival, which every arrival updates. The
+ * block's rendezvous and its warps' share the slots, since a thread
+ * waits for one rendezvous at a time.
  */
 struct BlockLanes {
-    std::vector<uint32_t> lanes; //!< per warp: bitmask of lanes arrived
+    std::vector<uint32_t> lanes; //!< per warp: bitmask of lanes deposited
     std::vector<uint64_t> value; //!< per flat tid: deposit in, result out
     std::vector<Cycles> cycles;  //!< per flat tid: arrival cycle
-    Cycles max_arrival = 0;      //!< latest arrival cycle
-    uint64_t arg = 0;            //!< the rendezvous's argument
+};
+
+struct Rendezvous;
+
+/**
+ * A rendezvous's release function: run once over every arrival, by the
+ * last live participant to arrive or by the retirement that leaves
+ * every live participant arrived. @return The cycle every participant
+ * resumes at.
+ */
+using ReleaseFn = Cycles (*)(const Rendezvous &rv, BlockLanes &lanes,
+                             BlockState &block);
+
+/**
+ * One rendezvous of a block's threads: one instance serves the whole
+ * block (__syncthreads, the LP fold) and one each warp (a shuffle). Its
+ * participants are the live threads of its scope, the flat tids
+ * [first, first + size). Every instance takes one path: a thread
+ * arrives (BlockState::arrive), waits by the wait rule
+ * (ThreadCtx::settle), and the last arrival releases it, which wakes
+ * the parked participants. A new generation cannot release before
+ * every thread awaiting the previous one has settled or retired, since
+ * each is live and has not arrived, so one release cycle serves every
+ * waiter.
+ */
+struct Rendezvous {
+    Rendezvous() = default;
+
+    /** Instance @p index (0: the block, 1 + w: warp w) over the @p size
+     *  threads from flat tid @p first. */
+    Rendezvous(uint32_t index, uint32_t first, uint32_t size)
+        : first(first), size(size), live(size),
+          generation(uint64_t{index} << 32)
+    {
+    }
+
+    /** The event the current generation's waiters park on. */
+    SchedEvent
+    event() const
+    {
+        return SchedEvent{SchedEventKind::Barrier, generation};
+    }
+
+    uint32_t first = 0;   //!< the scope's first flat tid
+    uint32_t size = 0;    //!< threads in the scope
+    uint32_t live = 0;    //!< of those, not retired (finished ones too)
+    uint32_t arrived = 0; //!< arrivals at the current generation
+    /** Bumps at each release. It starts at the instance's index << 32,
+     *  so it is the event id, unique per instance and generation. */
+    uint64_t generation = 0;
+    ReleaseFn release = nullptr; //!< the current generation's release
+    uint64_t arg = 0;            //!< the current generation's argument
+    Cycles max_arrival = 0;      //!< the current generation's latest arrival
+    Cycles release_cycle = 0;    //!< the last release's resume cycle
 };
 
 /**
- * A block rendezvous's release function: run once, by the last live
- * thread to arrive, over every arrival. @return The cycle every thread
- * of the block resumes at.
- */
-using BlockReleaseFn = Cycles (*)(BlockLanes &lanes, BlockState &block);
-
-/**
- * Flat tids parked on one event (block rendezvous, rank gate), stored as
- * a bitmap so waking the whole list is a word-wise OR into the ready
- * set instead of a per-thread walk.
+ * Flat tids parked on one kind of event (a rendezvous, the rank gate),
+ * stored as a bitmap so waking them is a word-wise OR into the ready
+ * set instead of a per-thread walk. The block's rendezvous and its
+ * warps' park on one set, and a release wakes the tids of its own
+ * scope: every live thread of the scope has arrived at the releasing
+ * rendezvous, so each one on the set waits for it.
  */
 struct WaitSet {
     explicit WaitSet(uint32_t n) { reset(n); }
@@ -184,6 +180,18 @@ struct WaitSet {
     }
 
     bool empty() const { return count == 0; }
+
+    /** Word @p i of the set, limited to the tids in [first, end). */
+    uint64_t
+    word(uint32_t i, uint32_t first, uint32_t end) const
+    {
+        const uint32_t lo = std::max(first, i * 64) - i * 64;
+        const uint32_t hi = std::min(end, i * 64 + 64) - i * 64;
+        uint64_t mask = ~uint64_t{0} << lo;
+        if (hi < 64)
+            mask &= (uint64_t{1} << hi) - 1;
+        return bits[i] & mask;
+    }
 
     std::vector<uint64_t> bits;
     uint32_t count = 0;
@@ -241,48 +249,32 @@ class ReadySet
     }
 
     /**
-     * OR an entire wait set in (its threads become ready) and clear
-     * it. Waiters are parked, hence disjoint from the ready bits.
-     * @return The number of threads woken.
+     * OR the waiters of @p ws whose tids lie in [first, end) in (they
+     * become ready) and clear them from @p ws. Waiters are parked,
+     * hence disjoint from the ready bits. @return The number of
+     * threads woken.
      */
     uint32_t
-    absorb(WaitSet &ws)
+    absorb(WaitSet &ws, uint32_t first, uint32_t end)
     {
-        uint32_t woken = ws.count;
-        if (woken == 0)
+        if (ws.count == 0)
             return 0;
-        for (size_t i = 0; i < bits_.size(); ++i) {
+        uint32_t woken = 0;
+        for (uint32_t i = first >> 6; i * 64 < end; ++i) {
+            const uint64_t mask = ws.word(i, first, end);
 #ifndef NDEBUG
-            GPULP_ASSERT((bits_[i] & ws.bits[i]) == 0,
-                         "waiter word %zu overlaps the ready set: a "
+            GPULP_ASSERT((bits_[i] & mask) == 0,
+                         "waiter word %u overlaps the ready set: a "
                          "parked thread is already ready, so wake "
                          "order would matter",
                          i);
 #endif
-            bits_[i] |= ws.bits[i];
-            ws.bits[i] = 0;
+            bits_[i] |= mask;
+            ws.bits[i] &= ~mask;
+            woken += static_cast<uint32_t>(std::popcount(mask));
         }
         count_ += woken;
-        ws.count = 0;
-        debugCheckCount();
-        return woken;
-    }
-
-    /**
-     * OR @p mask into word @p word_idx (a warp's wait mask, already in
-     * word coordinates). @return The number of threads woken.
-     */
-    uint32_t
-    absorbWord(size_t word_idx, uint64_t mask)
-    {
-#ifndef NDEBUG
-        GPULP_ASSERT((bits_[word_idx] & mask) == 0,
-                     "warp wait mask overlaps the ready set");
-#endif
-        uint32_t woken =
-            static_cast<uint32_t>(std::popcount(mask));
-        bits_[word_idx] |= mask;
-        count_ += woken;
+        ws.count -= woken;
         debugCheckCount();
         return woken;
     }
@@ -372,8 +364,8 @@ class ReadySet
 
 /**
  * Per-thread-block execution state shared by the block's ThreadCtx
- * instances: the block rendezvous, warp collective slots, shared
- * memory and progress/deadlock accounting.
+ * instances: the block's and its warps' rendezvous, shared memory and
+ * progress/deadlock accounting.
  *
  * One instance serves a whole sequence of blocks: reset() starts the
  * next one, reusing every buffer, so a block runner that keeps its
@@ -398,7 +390,7 @@ class BlockState
     BlockState &operator=(const BlockState &) = delete;
 
     /**
-     * Start a block: every thread ready, no collective pending, no
+     * Start a block: every thread ready, no rendezvous pending, no
      * shared slot claimed, no policy installed.
      *
      * @param nvm NVM model, or nullptr when persistency is not modelled.
@@ -531,12 +523,13 @@ class BlockState
     }
 
     /**
-     * Arrive at the block rendezvous, after any deposit, and release it
-     * if @p t is the last live thread to arrive. The releaser resumes
-     * at the release cycle at once; any other arriver is left awaiting
-     * the release (ThreadCtx::settle). Never parks.
+     * Arrive at @p rv, after any deposit, and release it if @p t is the
+     * last live participant to arrive. The releaser resumes at the
+     * release cycle at once; any other arriver is left awaiting the
+     * release (ThreadCtx::settle). Never parks.
      */
-    void arrive(ThreadCtx &t, BlockReleaseFn release, uint64_t arg);
+    void arrive(ThreadCtx &t, Rendezvous &rv, ReleaseFn release,
+                uint64_t arg);
 
     /**
      * The wait rule's slow path: park @p t until the rendezvous it
@@ -546,25 +539,18 @@ class BlockState
     void awaitRelease(ThreadCtx &t);
 
     /**
-     * Release the block rendezvous if all live threads arrived, moving
-     * its waiters back to the ready set. @p releaser is the arriving
-     * tid whose arrival may complete it, or SchedulePolicy::kNoTid when
+     * Release @p rv if all its live participants arrived, moving its
+     * waiters back to the ready set. @p releaser is the arriving tid
+     * whose arrival may complete it, or SchedulePolicy::kNoTid when
      * called from a thread's retirement.
      */
-    void maybeReleaseRendezvous(uint32_t releaser);
+    void maybeRelease(Rendezvous &rv, uint32_t releaser);
 
     /**
-     * A thread's exit bookkeeping: it leaves the live counts, and its
-     * departure may release the rendezvous or its warp's collective.
+     * A thread's exit bookkeeping: it leaves the block's and its warp's
+     * live counts, and its departure may release either rendezvous.
      */
     void retire(ThreadCtx &thread);
-
-    /**
-     * Release warp @p w's collective if all its live lanes arrived:
-     * run its release function, then move its waiters back to the
-     * ready set. @p releaser as for maybeReleaseRendezvous().
-     */
-    void maybeReleaseWarp(WarpState &w, uint32_t releaser);
 
     /** Sentinel "no thread" tid: the scan origin at block start and
      *  after a rank-gate wake. */
@@ -595,40 +581,19 @@ class BlockState
     [[gnu::noinline]] uint32_t retireFinished(uint32_t t);
 
     /** Hand the parked running thread @p tid's turn to the next ready
-     *  fiber, or return to run() when none is ready. */
+     *  fiber, or return to run() when none is ready. Returns at once
+     *  if the pick is @p tid itself. */
     void suspend(uint32_t tid);
 
     /** Park the running fiber @p tid on @p waiters (event @p ev for
      *  the policy hook) and suspend it. */
     void parkOn(WaitSet &waiters, uint32_t tid, SchedEvent ev);
 
-    /** Park the running fiber @p tid on warp @p w's collective and
-     *  suspend it. */
-    void parkOnWarp(WarpState &w, uint32_t tid);
-
-    /** Move every tid on @p waiters back to the ready set, reporting
-     *  release of @p ev by @p releaser to the policy (if any). */
-    void wake(WaitSet &waiters, SchedEvent ev, uint32_t releaser);
-
-    /** Move warp @p w's parked lanes back to the ready set. */
-    void wakeWarp(WarpState &w, SchedEvent ev, uint32_t releaser);
-
-    /** SchedEvent for the current (pre-increment) rendezvous
-     *  generation: a barrier and a fold are both one barrier event. */
-    SchedEvent
-    rendezvousEvent() const
-    {
-        return SchedEvent{SchedEventKind::Barrier, rv_generation_};
-    }
-
-    /** SchedEvent for warp @p warp_idx's current collective. */
-    SchedEvent
-    warpEvent(uint32_t warp_idx) const
-    {
-        return SchedEvent{SchedEventKind::WarpCollective,
-                          (uint64_t{warp_idx} << 32) |
-                              (warps_[warp_idx].generation & 0xffffffffu)};
-    }
+    /** Move the tids in [first, end) parked on @p waiters back to the
+     *  ready set, reporting release of @p ev by @p releaser to the
+     *  policy (if any). */
+    void wake(WaitSet &waiters, uint32_t first, uint32_t end, SchedEvent ev,
+              uint32_t releaser);
 
     GlobalMemory &mem_;
     MemTiming &timing_;
@@ -644,20 +609,14 @@ class BlockState
 
     uint32_t num_threads_ = 0;
     uint32_t num_warps_ = 0;
-    uint32_t live_ = 0; //!< threads not yet retired, finished ones too
     bool crashed_ = false;
 
-    // The block rendezvous (generation scheme). A new generation cannot
-    // release before every thread awaiting the previous one has
-    // settled or retired, since each is live and has not arrived, so
-    // one release cycle serves every waiter.
-    uint32_t rv_arrived_ = 0;
-    uint64_t rv_generation_ = 0;
-    BlockReleaseFn rv_release_ = nullptr;
-    BlockLanes rv_lanes_;
-    Cycles rv_release_cycle_ = 0;
-
-    std::vector<WarpState> warps_;
+    // The rendezvous: the block's, whose live count is the block's
+    // threads not yet retired, and one per warp. They share the
+    // deposit slots and the wait set.
+    Rendezvous block_rv_;
+    std::vector<Rendezvous> warp_rv_;
+    BlockLanes lanes_;
 
     /** One claimed __shared__ declaration of the running block. */
     struct SharedSlot {
@@ -671,9 +630,9 @@ class BlockState
     std::vector<SharedSlot> shared_slots_; //!< a block claims only a few
 
     // Scheduler state: threads are in exactly one place — running,
-    // ready, on a wait list (rv_waiters_ / warp.wait_mask /
-    // gate_waiters_), or exited. A finished thread waits on
-    // rv_waiters_ and then in the ready set like any other.
+    // ready, on a wait list (rv_waiters_ / gate_waiters_), or exited. A
+    // finished thread waits on rv_waiters_ and then in the ready set
+    // like any other.
     ReadySet ready_;
     WaitSet rv_waiters_;
     WaitSet gate_waiters_;
@@ -802,7 +761,7 @@ class ThreadCtx
     Cycles
     endCycle() const
     {
-        GPULP_ASSERT(exited_ && !awaiting_,
+        GPULP_ASSERT(exited_ && awaiting_ == nullptr,
                      "end cycle of tid %u read before it retired", flat_tid_);
         return cycles_;
     }
@@ -822,7 +781,7 @@ class ThreadCtx
     warpLiveLanes()
     {
         settle();
-        return block_.warps_[warpId()].live;
+        return block_.warp_rv_[warpId()].live;
     }
 
     // Global memory ----------------------------------------------------------
@@ -967,7 +926,7 @@ class ThreadCtx
      * rendezvous, and also in a launch that crashes there. It must not
      * exchange host-side state with other threads of the block.
      */
-    void blockArrive(uint64_t value, BlockReleaseFn release, uint64_t arg);
+    void blockArrive(uint64_t value, ReleaseFn release, uint64_t arg);
 
     /**
      * Wait for the rendezvous this thread last arrived at and return
@@ -979,7 +938,10 @@ class ThreadCtx
     /**
      * __shfl_down_sync over the full warp: returns the value deposited
      * by lane (laneId()+delta), or this thread's own @p value when that
-     * lane is out of range. All live lanes of the warp must call it.
+     * lane is out of range or did not deposit. All live lanes of the
+     * warp must call it. A warp rendezvous whose result the thread
+     * waits for at once: every lane resumes one shuffle after the
+     * warp's latest arrival.
      */
     uint32_t shflDown(uint32_t value, uint32_t delta);
 
@@ -992,26 +954,14 @@ class ThreadCtx
     /** shflDown for uint64_t. */
     uint64_t shflDown64(uint64_t value, uint32_t delta);
 
-    /**
-     * One warp-wide collective: deposit @p value, wait for every live
-     * lane of the warp, and return this lane's result. The last lane
-     * to arrive runs @p release once over all deposits; it sets every
-     * lane's result and new cycle counter. Each lane parks at most
-     * once. All live lanes must call it with the same @p release and
-     * @p arg. @p shuffle_steps is the number of per-lane shuffle steps
-     * the collective models, counted in sim.shuffles.
-     */
-    uint64_t warpCollective(uint64_t value, WarpReleaseFn release,
-                            uint64_t arg, uint32_t shuffle_steps);
-
   private:
     friend class BlockState;
     template <typename U>
     friend class SharedRef;
 
     /**
-     * The wait rule: a thread that arrived at a block rendezvous which
-     * had not released when it left waits for the release here, at the
+     * The wait rule: a thread that arrived at a rendezvous which had
+     * not released when it left waits for the release here, at the
      * first device operation after the arrival. Every entry point
      * through which a kernel can observe state or its cycle counter
      * settles first.
@@ -1019,7 +969,7 @@ class ThreadCtx
     void
     settle()
     {
-        if (awaiting_) [[unlikely]]
+        if (awaiting_ != nullptr) [[unlikely]]
             block_.awaitRelease(*this);
     }
 
@@ -1033,6 +983,13 @@ class ThreadCtx
         settle();
         block_.checkCrash();
     }
+
+    /**
+     * Deposit @p value in this thread's slot and arrive at @p rv, whose
+     * last arrival runs @p release with @p arg.
+     */
+    void deposit(Rendezvous &rv, uint64_t value, ReleaseFn release,
+                 uint64_t arg);
 
     /** Common implementation for all shuffle widths (64-bit payload). */
     uint64_t shflDownRaw(uint64_t value, uint32_t delta);
@@ -1056,7 +1013,9 @@ class ThreadCtx
     enterSharedOp(uint32_t slot, uint32_t offset, uint32_t bytes,
                   AccessKind kind)
     {
-        if (awaiting_ | (block_.policy_ != nullptr)) [[unlikely]] {
+        const bool slow =
+            (awaiting_ != nullptr) | (block_.policy_ != nullptr);
+        if (slow) [[unlikely]] {
             settle();
             if (block_.policy_ != nullptr)
                 block_.policy_->onSharedAccess(flat_tid_, slot, offset,
@@ -1099,8 +1058,8 @@ class ThreadCtx
     Dim3 thread_idx_;
     uint32_t flat_tid_;
     Cycles cycles_;
+    Rendezvous *awaiting_ = nullptr; //!< arrived at, not yet released
     uint32_t outstanding_flushes_ = 0;
-    bool awaiting_ = false; //!< arrived at the rendezvous, not released
     bool finished_ = false; //!< kernel returned while awaiting
     bool exited_ = false;
 };

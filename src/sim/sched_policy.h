@@ -38,15 +38,15 @@ class ReadySet;
 
 /** The event classes a fiber can park on / be woken by. */
 enum class SchedEventKind : uint8_t {
-    Barrier,        //!< block rendezvous generation (barrier or LP fold)
-    WarpCollective, //!< one warp collective (a shuffle or a reduction)
-    RankGate,       //!< the parallel engine's cross-block rank gate
+    Barrier,  //!< a rendezvous generation (barrier, LP fold or shuffle)
+    RankGate, //!< the parallel engine's cross-block rank gate
 };
 
 /**
  * One park/wake event instance. @c id disambiguates concurrent
- * instances: the rendezvous generation, (warp index << 32) | generation
- * for a warp collective, and a per-block wake epoch for the rank gate.
+ * instances: (rendezvous index << 32) | generation for a rendezvous,
+ * where index 0 is the block's and 1 + w warp w's, and a per-block
+ * wake epoch for the rank gate.
  */
 struct SchedEvent {
     SchedEventKind kind;
@@ -108,7 +108,7 @@ class SchedulePolicy
      * @p ev released, moving @p n waiters (@p woken) back to the ready
      * set. @p releaser is the tid whose arrival completed the event,
      * or kNoTid when the release was not an arrival (a thread exit
-     * releasing a collective, the runner waking the rank gate) — the
+     * releasing a rendezvous, the runner waking the rank gate) — the
      * distinction matters for happens-before: only an arriving
      * releaser's prior accesses are ordered before the release.
      */

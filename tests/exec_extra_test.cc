@@ -1,10 +1,10 @@
 /**
  * @file
  * Additional simulator-API coverage: 64-bit atomics, float atomics,
- * atomicMax, signed/64-bit shuffles, stall charging, deadlock
- * detection, shared-memory exhaustion, re-declaration and zeroing, the
- * fused dual-checksum reduction extension, warp reductions as single
- * collectives, the block fold as one rendezvous, and the wait rule.
+ * atomicMax, signed/64-bit shuffles, a shuffle released by a lane's
+ * exit, stall charging, deadlock detection, shared-memory exhaustion,
+ * re-declaration and zeroing, the fused dual-checksum reduction
+ * extension, the block fold as one rendezvous, and the wait rule.
  */
 
 #include <gtest/gtest.h>
@@ -108,6 +108,48 @@ TEST(ExecExtraTest, Shuffle64CarriesFullWidth)
     for (uint32_t lane = 0; lane < 31; ++lane)
         EXPECT_EQ(out.hostAt(lane),
                   (uint64_t{lane + 1} << 40) | 0xABCDEFull);
+}
+
+TEST(ExecExtraTest, ShuffleReleasedByAnExitResumesAtTheLatestDeposit)
+{
+    // Lanes 16-31 stall past every depositing lane and return while
+    // lanes 0-15 wait at the shuffle, so lane 31's retirement releases
+    // it. Lanes 16-19 never deposit, so lanes 12-15 keep their own
+    // values, and the exiting lanes' stalls are not arrivals.
+    const bool was_enabled = obs::countersEnabled();
+    obs::setCountersEnabled(true);
+    obs::resetCounters();
+    constexpr uint32_t kWaiting = 16, kStep = 7;
+    Device dev;
+    std::vector<uint32_t> got(kWaiting, 0);
+    std::vector<Cycles> resumed(kWaiting, 0);
+    Cycles shuffle_cycles = 0;
+    dev.launch(LaunchConfig(Dim3(1), Dim3(kWarpSize)), [&](ThreadCtx &t) {
+        const uint32_t lane = t.laneId();
+        if (lane >= kWaiting) {
+            t.stall(1000 + lane);
+            return;
+        }
+        shuffle_cycles = t.params().shuffle_cycles;
+        t.stall(kStep * lane); // a block starts at cycle 0
+        got[lane] = t.shflDown(100 + lane, 4);
+        resumed[lane] = t.now();
+    });
+    const auto snap = obs::snapshotCounters();
+    obs::setCountersEnabled(was_enabled);
+
+    const Cycles latest_deposit = kStep * (kWaiting - 1);
+    for (uint32_t lane = 0; lane < kWaiting; ++lane) {
+        EXPECT_EQ(got[lane], lane < 12 ? 104 + lane : 100 + lane)
+            << "lane " << lane;
+        EXPECT_EQ(resumed[lane], latest_deposit + shuffle_cycles)
+            << "lane " << lane;
+    }
+    EXPECT_EQ(shuffle_cycles, 2u);
+    // 32 starts and one wake per waiting lane.
+    EXPECT_EQ(snap[obs::Ctr::SimFiberSwitches], 48u);
+    EXPECT_EQ(snap[obs::Ctr::SimFiberWakeups], 16u);
+    EXPECT_EQ(snap[obs::Ctr::SimShuffles], 16u);
 }
 
 TEST(ExecExtraTest, StallChargesRawCycles)
@@ -258,13 +300,12 @@ TEST(ExecExtraTest, FusedReductionIsCheaperThanTwoShuffles)
 }
 
 // ---------------------------------------------------------------------
-// Warp reductions as one collective vs. the per-step shuffle tree
+// The block fold as one rendezvous vs. Listing 3 step by step
 // ---------------------------------------------------------------------
 
 /**
- * The per-step reduction loop the simulator used to run: one shflDown
- * rendezvous per tree step per checksum. Kept here as the reference the
- * single-collective reductions must reproduce exactly.
+ * Listing 4 step by step: one shflDown per tree step per checksum.
+ * Valid on lane 0.
  */
 Checksums
 referenceWarpReduce(ThreadCtx &t, Checksums local, ChecksumKind kind)
@@ -311,114 +352,11 @@ referenceWarpReduceFused(ThreadCtx &t, Checksums local)
     return unpackChecksums(packed);
 }
 
-/** What one thread saw after its warp reduction. */
-struct LaneOutcome {
-    bool ran = false;
-    Checksums value;
-    Cycles now = 0;
-};
-
 /** Fused (true) or one of the ChecksumKinds. */
 struct ReduceFlavor {
     bool fused;
     ChecksumKind kind;
 };
-
-/** How a block's threads reach the reduction. */
-struct ReduceShape {
-    uint32_t threads;    //!< block size (the last warp may be partial)
-    uint32_t exit_every; //!< lanes with lane % exit_every == 1 exit early
-                         //!< (0: nobody exits)
-};
-
-/**
- * Run one block of @p shape through a warp reduction of @p flavor and
- * return every thread's outcome and the fiber switches it took. Lanes
- * reach the reduction at skewed cycles; early-exiting lanes leave
- * before a barrier, so every remaining lane sees the same live count.
- */
-std::pair<std::vector<LaneOutcome>, uint64_t>
-runWarpReduce(ReduceShape shape, ReduceFlavor flavor, bool reference)
-{
-    obs::resetCounters();
-    Device dev;
-    std::vector<LaneOutcome> out(shape.threads);
-    dev.launch(
-        LaunchConfig(Dim3(1), Dim3(shape.threads)), [&](ThreadCtx &t) {
-            const uint32_t tid = t.flatThreadIdx();
-            if (shape.exit_every != 0) {
-                if (t.laneId() % shape.exit_every == 1)
-                    return;
-                t.syncthreads();
-            }
-            t.stall((tid * 37u) % 101u);
-            Checksums local{tid * 2654435761u + 7u, ~tid * 40503u};
-            Checksums cs;
-            if (flavor.fused)
-                cs = reference ? referenceWarpReduceFused(t, local)
-                               : warpReduceFused(t, local);
-            else
-                cs = reference
-                         ? referenceWarpReduce(t, local, flavor.kind)
-                         : warpReduceChecksums(t, local, flavor.kind);
-            out[tid] = LaneOutcome{true, cs, t.now()};
-        });
-    return {out, obs::snapshotCounters()[obs::Ctr::SimFiberSwitches]};
-}
-
-TEST(ExecExtraTest, WarpReductionCollectiveMatchesPerStepShuffles)
-{
-    const bool was_enabled = obs::countersEnabled();
-    obs::setCountersEnabled(true);
-    const ReduceFlavor flavors[] = {
-        {false, ChecksumKind::Modular},
-        {false, ChecksumKind::Parity},
-        {false, ChecksumKind::ModularParity},
-        {true, ChecksumKind::ModularParity},
-    };
-    for (const ReduceFlavor &flavor : flavors) {
-        for (uint32_t live = 1; live <= kWarpSize; ++live) {
-            // A lone partial warp, a full warp plus a partial one, and
-            // a full warp thinned by early exits.
-            std::vector<ReduceShape> shapes = {{live, 0},
-                                               {kWarpSize + live, 0}};
-            if (live >= 2)
-                shapes.push_back({kWarpSize, kWarpSize / live + 1});
-            for (const ReduceShape &shape : shapes) {
-                auto [want, ref_switches] =
-                    runWarpReduce(shape, flavor, true);
-                auto [got, switches] = runWarpReduce(shape, flavor, false);
-                const std::string what =
-                    std::string(flavor.fused ? "fused"
-                                             : toString(flavor.kind)) +
-                    ", " + std::to_string(shape.threads) +
-                    " threads, exit_every " +
-                    std::to_string(shape.exit_every);
-                for (uint32_t tid = 0; tid < shape.threads; ++tid) {
-                    EXPECT_EQ(got[tid].ran, want[tid].ran)
-                        << what << ", tid " << tid;
-                    EXPECT_EQ(got[tid].value, want[tid].value)
-                        << what << ", tid " << tid;
-                    EXPECT_EQ(got[tid].now, want[tid].now)
-                        << what << ", tid " << tid;
-                }
-                // One start per thread, at most one wake per barrier
-                // and one per reduction: a lane never resumes between
-                // tree steps.
-                const uint64_t barrier_wakes =
-                    shape.exit_every != 0 ? shape.threads : 0;
-                EXPECT_LE(switches, 2 * shape.threads + barrier_wakes)
-                    << what;
-                EXPECT_LE(switches, ref_switches) << what;
-            }
-        }
-    }
-    obs::setCountersEnabled(was_enabled);
-}
-
-// ---------------------------------------------------------------------
-// The block fold as one rendezvous vs. Listing 3 step by step
-// ---------------------------------------------------------------------
 
 /**
  * Listing 3 as the simulator ran it before the fold became one block
@@ -724,12 +662,6 @@ const SettleOp kSettleOps[] = {
      [](ThreadCtx &t, Addr w, SharedRef<uint32_t> &) -> uint64_t {
          return t.shflDown(static_cast<uint32_t>(w), 1);
      }},
-    {"warpReduceChecksums",
-     [](ThreadCtx &t, Addr w, SharedRef<uint32_t> &) -> uint64_t {
-         return packChecksums(warpReduceChecksums(
-             t, Checksums{static_cast<uint32_t>(w), 3},
-             ChecksumKind::ModularParity));
-     }},
     {"syncthreads",
      [](ThreadCtx &t, Addr, SharedRef<uint32_t> &) -> uint64_t {
          t.syncthreads();
@@ -825,6 +757,46 @@ TEST(ExecExtraTest, ThreadsThatReturnAfterABarrierAreNeverResumed)
         EXPECT_EQ(resumesOf(n, [](ThreadCtx &t) { t.syncthreads(); }), n)
             << n << " threads";
     }
+}
+
+TEST(ExecExtraTest, AThreadWokenByTheRetirementItPicksRunsOn)
+{
+    // Thread 0 returns after a barrier, so it waits as a finished
+    // thread. Thread 1 releases that barrier and arrives at a second
+    // rendezvous; parking there, it picks thread 0, whose in-place
+    // retirement releases the rendezvous thread 1 parked on. Thread 1
+    // is then the pick and runs on instead of switching to itself.
+    const bool was_enabled = obs::countersEnabled();
+    obs::setCountersEnabled(true);
+    for (bool shuffle : {false, true}) {
+        obs::resetCounters();
+        Device dev;
+        Cycles end = 0;
+        uint32_t got = 0;
+        dev.launch(LaunchConfig(Dim3(1), Dim3(2)), [&](ThreadCtx &t) {
+            t.syncthreads();
+            if (t.flatThreadIdx() == 0)
+                return;
+            if (shuffle) {
+                got = t.shflDown(7u, 1);
+            } else {
+                t.syncthreads();
+                got = 7;
+            }
+            end = t.now();
+        });
+        const auto snap = obs::snapshotCounters();
+        const TimingParams p;
+        const std::string what = shuffle ? "shuffle" : "barrier";
+        EXPECT_EQ(got, 7u) << what;
+        EXPECT_EQ(end, p.barrier_cycles + (shuffle ? p.shuffle_cycles
+                                                   : p.barrier_cycles))
+            << what;
+        // Two starts and thread 1's wake.
+        EXPECT_EQ(snap[obs::Ctr::SimFiberSwitches], 3u) << what;
+        EXPECT_EQ(snap[obs::Ctr::SimFiberWakeups], 2u) << what;
+    }
+    obs::setCountersEnabled(was_enabled);
 }
 
 TEST(ExecExtraTest, RetiredThreadsEndAtTheReleaseCycle)

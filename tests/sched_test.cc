@@ -144,7 +144,7 @@ TEST(SchedTest, MatchesPollSchedulerFixturesAtEveryWorkerCount)
  * this kernel. Event-driven parking resumes a thread only when its
  * event fires, so switches are bounded by actual arrivals:
  * one initial resume per thread plus at most one per barrier arrival
- * and one per warp-collective deposit.
+ * and one per shuffle deposit.
  */
 TEST(SchedTest, BarrierStormSwitchesScaleWithArrivalsNotPasses)
 {
@@ -168,11 +168,11 @@ TEST(SchedTest, BarrierStormSwitchesScaleWithArrivalsNotPasses)
     obs::setCountersEnabled(was_enabled);
     const uint64_t switches = snap[obs::Ctr::SimFiberSwitches];
     const uint64_t barriers = snap[obs::Ctr::SimBarrierWaits];
-    const uint64_t collectives = snap[obs::Ctr::SimWarpCollectives];
+    const uint64_t shuffles = snap[obs::Ctr::SimShuffles];
 
     // O(arrivals) bound: every switch is accounted for by a thread
-    // start, a barrier arrival or a warp-collective deposit.
-    EXPECT_LE(switches, kThreads + barriers + collectives);
+    // start, a barrier arrival or a shuffle deposit.
+    EXPECT_LE(switches, kThreads + barriers + shuffles);
 
     // Regression floor vs the poll scheduler's measured 129,048
     // resumes on this exact kernel (>= 2x reduction demanded; actual

@@ -1,6 +1,7 @@
 #include "nvm_cache.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "obs/counters.h"
@@ -14,12 +15,20 @@ NvmCache::NvmCache(GlobalMemory &mem, const NvmParams &params)
     GPULP_ASSERT(params_.line_bytes != 0 &&
                      (params_.line_bytes & (params_.line_bytes - 1)) == 0,
                  "line size must be a power of two");
-    GPULP_ASSERT(params_.associativity > 0, "associativity must be > 0");
+    GPULP_ASSERT(params_.associativity > 0 &&
+                     params_.associativity <= UINT32_MAX,
+                 "associativity must be in [1, 2^32)");
     size_t line_count = params_.cache_bytes / params_.line_bytes;
     GPULP_ASSERT(line_count >= params_.associativity,
                  "cache smaller than one set");
-    sets_ = line_count / params_.associativity;
-    lines_.assign(sets_ * params_.associativity, Line{});
+    ways_ = params_.associativity;
+    sets_ = line_count / ways_;
+    sets_pow2_ = std::has_single_bit(sets_);
+    line_shift_ = static_cast<unsigned>(std::countr_zero(params_.line_bytes));
+    tags_.assign(sets_ * ways_, kInvalidTag);
+    stamps_.assign(sets_ * ways_, 0);
+    dirty_.assign(sets_ * ways_, 0);
+    mru_.assign(sets_, 0);
 }
 
 void
@@ -61,10 +70,9 @@ NvmCache::onStore(Addr addr, size_t bytes)
         obs::add(obs::Ctr::NvmStoresAfterCrash);
         return;
     }
-    Addr first_line = addr / params_.line_bytes;
-    Addr last_line = (addr + bytes - 1) / params_.line_bytes;
-    for (Addr line = first_line; line <= last_line; ++line) {
-        if (access(line * params_.line_bytes, /*is_store=*/true)) {
+    const uint64_t last = (addr + bytes - 1) >> line_shift_;
+    for (uint64_t tag = addr >> line_shift_; tag <= last; ++tag) {
+        if (access(tag, /*is_store=*/true)) {
             ++stats_.store_hits;
             obs::add(obs::Ctr::NvmStoreHits);
         } else {
@@ -80,10 +88,9 @@ NvmCache::onLoad(Addr addr, size_t bytes)
     std::lock_guard<std::mutex> lk(mu_);
     if (crashPending())
         return; // frozen: see onStore()
-    Addr first_line = addr / params_.line_bytes;
-    Addr last_line = (addr + bytes - 1) / params_.line_bytes;
-    for (Addr line = first_line; line <= last_line; ++line) {
-        if (access(line * params_.line_bytes, /*is_store=*/false)) {
+    const uint64_t last = (addr + bytes - 1) >> line_shift_;
+    for (uint64_t tag = addr >> line_shift_; tag <= last; ++tag) {
+        if (access(tag, /*is_store=*/false)) {
             ++stats_.load_hits;
             obs::add(obs::Ctr::NvmLoadHits);
         } else {
@@ -93,36 +100,49 @@ NvmCache::onLoad(Addr addr, size_t bytes)
     }
 }
 
-bool
-NvmCache::access(Addr line_start, bool is_store)
+size_t
+NvmCache::findWay(uint64_t tag, size_t set) const
 {
-    uint64_t tag = line_start / params_.line_bytes;
-    size_t set = static_cast<size_t>(tag % sets_);
-    Line *ways = &lines_[set * params_.associativity];
+    const size_t base = set * ways_;
+    // The MRU way checks itself: a set holds each tag at most once, so
+    // a matching hint is the way the scan below would find.
+    if (tags_[base + mru_[set]] == tag)
+        return base + mru_[set];
+    for (size_t i = base; i < base + ways_; ++i) {
+        if (tags_[i] == tag)
+            return i;
+    }
+    return kNoWay;
+}
+
+bool
+NvmCache::access(uint64_t tag, bool is_store)
+{
+    const size_t set = setOf(tag);
     ++tick_;
 
-    // Hit path.
-    for (size_t w = 0; w < params_.associativity; ++w) {
-        if (ways[w].valid && ways[w].tag == tag) {
-            ways[w].lru = tick_;
-            ways[w].dirty |= is_store;
-            return true;
-        }
+    size_t hit = findWay(tag, set);
+    if (hit != kNoWay) {
+        stamps_[hit] = tick_;
+        dirty_[hit] |= static_cast<uint8_t>(is_store);
+        mru_[set] = static_cast<uint32_t>(hit - set * ways_);
+        return true;
     }
 
-    // Miss: pick an invalid way or the LRU victim.
-    size_t victim = 0;
-    for (size_t w = 0; w < params_.associativity; ++w) {
-        if (!ways[w].valid) {
-            victim = w;
+    // Miss: the first empty way, else the lowest-index LRU way.
+    const size_t base = set * ways_;
+    size_t victim = base;
+    for (size_t i = base; i < base + ways_; ++i) {
+        if (tags_[i] == kInvalidTag) {
+            victim = i;
             break;
         }
-        if (ways[w].lru < ways[victim].lru)
-            victim = w;
+        if (stamps_[i] < stamps_[victim])
+            victim = i;
     }
-    if (ways[victim].valid) {
-        if (ways[victim].dirty) {
-            writebackLine(ways[victim].tag);
+    if (tags_[victim] != kInvalidTag) {
+        if (dirty_[victim]) {
+            writebackLine(tags_[victim]);
             ++stats_.dirty_evictions;
             obs::add(obs::Ctr::NvmDirtyEvictions);
         } else {
@@ -130,10 +150,28 @@ NvmCache::access(Addr line_start, bool is_store)
             obs::add(obs::Ctr::NvmCleanEvictions);
         }
     }
-    ways[victim] = Line{tag, tick_, true, is_store};
+    tags_[victim] = tag;
+    stamps_[victim] = tick_;
+    dirty_[victim] = static_cast<uint8_t>(is_store);
+    mru_[set] = static_cast<uint32_t>(victim - base);
     ++stats_.nvm_line_reads; // fill from NVM
     obs::add(obs::Ctr::NvmFills);
     return false;
+}
+
+void
+NvmCache::invalidateLines()
+{
+    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+    std::fill(dirty_.begin(), dirty_.end(), uint8_t{0});
+}
+
+uint64_t
+NvmCache::countDirty() const
+{
+    // Emptying a way clears its flag, so every dirty way is cached.
+    return static_cast<uint64_t>(
+        std::count(dirty_.begin(), dirty_.end(), uint8_t{1}));
 }
 
 void
@@ -187,8 +225,7 @@ NvmCache::restoreFromLog()
         std::memcpy(shadow_.data() + key, data, size);
         std::memcpy(mem_.raw(key), data, size);
     });
-    for (auto &line : lines_)
-        line = Line{};
+    invalidateLines();
 }
 
 void
@@ -198,8 +235,7 @@ NvmCache::onReset()
     // The arena was released and zeroed: no cached line or shadow byte
     // is meaningful any more, and a reused log file must not replay the
     // dead allocations into the next experiment.
-    for (auto &line : lines_)
-        line = Line{};
+    invalidateLines();
     std::memset(shadow_.data(), 0, shadow_.size());
     if (log_) {
         for (const auto &[key, slot] : log_->indexSnapshot())
@@ -226,14 +262,9 @@ NvmCache::persistAll()
         log_->flush();
     }
     std::memcpy(shadow_.data(), mem_.raw(0), mem_.used());
-    uint64_t flushed = 0;
-    for (auto &line : lines_) {
-        if (line.valid && line.dirty) {
-            line.dirty = false;
-            ++stats_.flushed_lines;
-            ++flushed;
-        }
-    }
+    uint64_t flushed = countDirty();
+    std::fill(dirty_.begin(), dirty_.end(), uint8_t{0});
+    stats_.flushed_lines += flushed;
     obs::add(obs::Ctr::NvmFlushedLines, flushed);
 }
 
@@ -243,11 +274,7 @@ NvmCache::crash()
     std::lock_guard<std::mutex> lk(mu_);
     // Every line still dirty at the failure holds store values that
     // never reached NVM — the "torn" state recovery must repair.
-    uint64_t torn = 0;
-    for (const auto &line : lines_) {
-        if (line.valid && line.dirty)
-            ++torn;
-    }
+    uint64_t torn = countDirty();
     stats_.torn_lines += torn;
     obs::add(obs::Ctr::NvmCrashes);
     obs::add(obs::Ctr::NvmTornLines, torn);
@@ -260,8 +287,7 @@ NvmCache::crash()
         log_->flush();
     // Volatile state is lost: rewind the arena to the NVM image.
     std::memcpy(mem_.raw(0), shadow_.data(), mem_.used());
-    for (auto &line : lines_)
-        line = Line{};
+    invalidateLines();
     crash_armed_ = false;
     crash_pending_.store(false, std::memory_order_release);
     return torn;
@@ -275,19 +301,15 @@ NvmCache::flushRange(Addr addr, size_t bytes)
     if (crashPending())
         return 0; // frozen: see onStore()
     uint64_t flushed = 0;
-    uint64_t first = addr / params_.line_bytes;
-    uint64_t last = (addr + bytes - 1) / params_.line_bytes;
-    for (uint64_t tag = first; tag <= last; ++tag) {
-        size_t set = static_cast<size_t>(tag % sets_);
-        Line *ways = &lines_[set * params_.associativity];
-        for (size_t w = 0; w < params_.associativity; ++w) {
-            if (ways[w].valid && ways[w].tag == tag && ways[w].dirty) {
-                writebackLine(tag);
-                ways[w].dirty = false;
-                ++stats_.flushed_lines;
-                obs::add(obs::Ctr::NvmFlushedLines);
-                ++flushed;
-            }
+    const uint64_t last = (addr + bytes - 1) >> line_shift_;
+    for (uint64_t tag = addr >> line_shift_; tag <= last; ++tag) {
+        size_t i = findWay(tag, setOf(tag));
+        if (i != kNoWay && dirty_[i]) {
+            writebackLine(tag);
+            dirty_[i] = 0;
+            ++stats_.flushed_lines;
+            obs::add(obs::Ctr::NvmFlushedLines);
+            ++flushed;
         }
     }
     return flushed;
@@ -302,17 +324,13 @@ NvmCache::persistRange(Addr addr, size_t bytes)
     if (crashPending())
         return; // frozen: see onStore()
     const size_t used = mem_.used();
-    uint64_t first = addr / params_.line_bytes;
-    uint64_t last = (addr + bytes - 1) / params_.line_bytes;
-    for (uint64_t tag = first; tag <= last; ++tag) {
+    const uint64_t last = (addr + bytes - 1) >> line_shift_;
+    for (uint64_t tag = addr >> line_shift_; tag <= last; ++tag) {
         // Clean any cached copy so a later eviction cannot re-publish
         // stale contents over what we persist here.
-        size_t set = static_cast<size_t>(tag % sets_);
-        Line *ways = &lines_[set * params_.associativity];
-        for (size_t w = 0; w < params_.associativity; ++w) {
-            if (ways[w].valid && ways[w].tag == tag && ways[w].dirty)
-                ways[w].dirty = false;
-        }
+        size_t i = findWay(tag, setOf(tag));
+        if (i != kNoWay)
+            dirty_[i] = 0;
         Addr start = lineAddr(tag);
         if (start >= used)
             continue;
@@ -332,8 +350,7 @@ void
 NvmCache::invalidateAll()
 {
     std::lock_guard<std::mutex> lk(mu_);
-    for (auto &line : lines_)
-        line = Line{};
+    invalidateLines();
 }
 
 void

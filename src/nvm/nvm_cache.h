@@ -94,9 +94,25 @@ struct NvmStats {
  * read/write is tracked; host raw() accesses bypass the model and must
  * be followed by persistAll() if their effects should be durable.
  *
+ * Layout: the line state is kept as compact per-way arrays, row-major
+ * by set: a tag per way (kInvalidTag marks an empty way), a last-touch
+ * stamp per way and a dirty flag per way, plus one most-recently-used
+ * way per set. A line's tag is its address shifted by the line size;
+ * its set is the tag masked by the set count when that is a power of
+ * two and the tag modulo the set count otherwise (the default 6 MiB
+ * geometry has 3,072 sets). A lookup compares the set's MRU way first
+ * and scans the set only when that compare fails. The MRU way is a
+ * hint that checks itself: a set holds each tag at most once, so the
+ * hint finds exactly the way the scan would, and it never changes a
+ * decision. Hit or miss, the victim (the first empty way, else the
+ * lowest-index way with the smallest stamp), write-backs, NvmStats and
+ * the nvm.* counters are those of a plain scan of every way.
+ *
  * Thread safety: all observer and persistency entry points serialize
  * on an internal mutex, because the parallel block engine drives
- * onStore/onLoad from every worker concurrently. The crash latch is a
+ * onStore/onLoad from every worker concurrently. The way arrays and
+ * the MRU ways are read and written only under it, hits included (a
+ * hit moves its set's MRU way). The crash latch is a
  * lock-free atomic so kernel threads can poll crashPending() on every
  * device operation without contending. Note that with more than one
  * worker the *order* in which workers' stores reach the cache is
@@ -267,21 +283,34 @@ class NvmCache : public MemObserver
     double nvmDeviceTimeNs() const;
 
   private:
-    struct Line {
-        uint64_t tag = 0;
-        uint64_t lru = 0;       //!< last-touch stamp
-        bool valid = false;
-        bool dirty = false;
-    };
+    /** Tag of an empty way; no line of a real arena has this index. */
+    static constexpr uint64_t kInvalidTag = UINT64_MAX;
 
-    /** Number of sets in the cache. */
-    size_t numSets() const { return sets_; }
+    /** Returned by findWay() when the line is not cached. */
+    static constexpr size_t kNoWay = SIZE_MAX;
 
-    /** Byte address of the first byte of @p line_index-th line. */
-    Addr lineAddr(uint64_t tag) const { return tag * params_.line_bytes; }
+    /** Set the line with tag @p tag maps to. */
+    size_t
+    setOf(uint64_t tag) const
+    {
+        return sets_pow2_ ? static_cast<size_t>(tag & (sets_ - 1))
+                          : static_cast<size_t>(tag % sets_);
+    }
 
-    /** Touch the line containing @p addr; returns hit/miss. */
-    bool access(Addr addr, bool is_store);
+    /** Byte address of the first byte of line @p tag. */
+    Addr lineAddr(uint64_t tag) const { return tag << line_shift_; }
+
+    /** Index into the way arrays of line @p tag in @p set, or kNoWay. */
+    size_t findWay(uint64_t tag, size_t set) const;
+
+    /** Touch line @p tag; returns hit/miss. */
+    bool access(uint64_t tag, bool is_store);
+
+    /** Empty every way (dirty contents are dropped, not written back). */
+    void invalidateLines();
+
+    /** Number of dirty ways. Only a cached line can be dirty. */
+    uint64_t countDirty() const;
 
     /** Write a line's current arena bytes into the shadow (and append
      *  it to the persist log when one is attached). */
@@ -293,13 +322,21 @@ class NvmCache : public MemObserver
 
     GlobalMemory &mem_;
     NvmParams params_;
+    size_t ways_;             //!< associativity
     size_t sets_;
-    std::vector<Line> lines_; //!< sets_ x associativity, row-major
+    bool sets_pow2_;          //!< setOf() may mask instead of divide
+    unsigned line_shift_;     //!< log2(line_bytes)
+    // Per-way line state, sets_ x ways_, row-major by set.
+    std::vector<uint64_t> tags_;   //!< line index, or kInvalidTag
+    std::vector<uint64_t> stamps_; //!< last-touch tick of a cached line
+    std::vector<uint8_t> dirty_;   //!< 1 while the way holds unwritten stores
+    std::vector<uint32_t> mru_;    //!< per set: way of the latest hit/fill
     ZeroedBuffer shadow_;
     uint64_t tick_ = 0;
     NvmStats stats_;
 
-    /** Guards lines_/shadow_/tick_/stats_ and the crash countdown. */
+    /** Guards the way arrays, shadow_, tick_, stats_ and the crash
+     *  countdown. */
     mutable std::mutex mu_;
 
     PersistLog *log_ = nullptr; //!< optional file-backed device

@@ -140,8 +140,10 @@ struct ShardLease {
 
     ~ShardLease()
     {
-        if (shard != nullptr)
+        if (shard != nullptr) {
+            detail::t_shard = nullptr;
             Registry::instance().release(shard);
+        }
     }
 };
 
@@ -171,18 +173,13 @@ namespace detail {
 std::atomic<bool> g_counters_enabled{false};
 
 Shard *
-acquireShard()
-{
-    return Registry::instance().acquire();
-}
-
-Shard &
-shard()
+leaseShard()
 {
     thread_local ShardLease lease;
     if (lease.shard == nullptr)
-        lease.shard = acquireShard();
-    return *lease.shard;
+        lease.shard = Registry::instance().acquire();
+    t_shard = lease.shard;
+    return lease.shard;
 }
 
 void

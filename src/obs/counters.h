@@ -212,11 +212,28 @@ struct Shard {
 /** Global enable flag; one relaxed load gates every hot-path bump. */
 extern std::atomic<bool> g_counters_enabled;
 
-/** Lease this thread's shard (cold path; registers with the registry). */
-Shard *acquireShard();
+/**
+ * This thread's shard, or nullptr before its first bump. Constant-
+ * initialized, so reading it is one TLS load with no guard or wrapper.
+ */
+inline thread_local Shard *t_shard = nullptr;
 
-/** Cached per-thread shard; released back to the registry on exit. */
-Shard &shard();
+/**
+ * Lease this thread's shard from the registry and cache it in t_shard
+ * (cold path, once per thread); it goes back to the registry when the
+ * thread exits.
+ */
+Shard *leaseShard();
+
+/** This thread's shard, leased on the first call. */
+inline Shard &
+shard()
+{
+    Shard *s = t_shard;
+    if (s == nullptr) [[unlikely]]
+        s = leaseShard();
+    return *s;
+}
 
 /** Out-of-line histogram fold (CAS loops for min/max). */
 void observeSlow(Shard &s, Hist h, uint64_t value);

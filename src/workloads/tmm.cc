@@ -33,15 +33,19 @@ TmmWorkload::setup(Device &dev)
     for (size_t i = 0; i < b_.size(); ++i)
         b_.hostAt(i) = rng.nextFloat(-1.0f, 1.0f);
 
-    // Host reference, same accumulation order as the kernel.
+    // Host reference, same accumulation order as the kernel: every
+    // output sums k = 0..kDepth-1 in order, starting from 0.0f. The k
+    // loop walks whole rows of B, so the column loop vectorizes.
     reference_.assign(uint64_t{n_} * n_, 0.0f);
+    const float *a = &a_.hostAt(0);
+    const float *b = &b_.hostAt(0);
     for (uint32_t row = 0; row < n_; ++row) {
-        for (uint32_t col = 0; col < n_; ++col) {
-            float sum = 0.0f;
-            for (uint32_t k = 0; k < kDepth; ++k)
-                sum += a_.hostAt(uint64_t{row} * kDepth + k) *
-                       b_.hostAt(uint64_t{k} * n_ + col);
-            reference_[uint64_t{row} * n_ + col] = sum;
+        float *out = reference_.data() + uint64_t{row} * n_;
+        for (uint32_t k = 0; k < kDepth; ++k) {
+            const float a_rk = a[uint64_t{row} * kDepth + k];
+            const float *b_row = b + uint64_t{k} * n_;
+            for (uint32_t col = 0; col < n_; ++col)
+                out[col] += a_rk * b_row[col];
         }
     }
 }

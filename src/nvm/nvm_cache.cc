@@ -15,19 +15,16 @@ NvmCache::NvmCache(GlobalMemory &mem, const NvmParams &params)
     GPULP_ASSERT(params_.line_bytes != 0 &&
                      (params_.line_bytes & (params_.line_bytes - 1)) == 0,
                  "line size must be a power of two");
-    GPULP_ASSERT(params_.associativity > 0 &&
-                     params_.associativity <= UINT32_MAX,
-                 "associativity must be in [1, 2^32)");
+    GPULP_ASSERT(params_.associativity > 0, "associativity must be > 0");
     size_t line_count = params_.cache_bytes / params_.line_bytes;
     GPULP_ASSERT(line_count >= params_.associativity,
                  "cache smaller than one set");
-    ways_ = params_.associativity;
-    sets_ = line_count / ways_;
-    sets_pow2_ = std::has_single_bit(sets_);
+    sets_ = line_count / params_.associativity;
     line_shift_ = static_cast<unsigned>(std::countr_zero(params_.line_bytes));
-    tags_.assign(sets_ * ways_, kInvalidTag);
-    stamps_.assign(sets_ * ways_, 0);
-    dirty_.assign(sets_ * ways_, 0);
+    const size_t way_count = sets_ * params_.associativity;
+    tags_.assign(way_count, kInvalidTag);
+    stamps_.assign(way_count, 0);
+    dirty_.assign(way_count, 0);
     mru_.assign(sets_, 0);
 }
 
@@ -103,12 +100,12 @@ NvmCache::onLoad(Addr addr, size_t bytes)
 size_t
 NvmCache::findWay(uint64_t tag, size_t set) const
 {
-    const size_t base = set * ways_;
+    const size_t base = set * params_.associativity;
     // The MRU way checks itself: a set holds each tag at most once, so
     // a matching hint is the way the scan below would find.
     if (tags_[base + mru_[set]] == tag)
         return base + mru_[set];
-    for (size_t i = base; i < base + ways_; ++i) {
+    for (size_t i = base; i < base + params_.associativity; ++i) {
         if (tags_[i] == tag)
             return i;
     }
@@ -119,20 +116,20 @@ bool
 NvmCache::access(uint64_t tag, bool is_store)
 {
     const size_t set = setOf(tag);
+    const size_t base = set * params_.associativity;
     ++tick_;
 
     size_t hit = findWay(tag, set);
     if (hit != kNoWay) {
         stamps_[hit] = tick_;
         dirty_[hit] |= static_cast<uint8_t>(is_store);
-        mru_[set] = static_cast<uint32_t>(hit - set * ways_);
+        mru_[set] = hit - base;
         return true;
     }
 
     // Miss: the first empty way, else the lowest-index LRU way.
-    const size_t base = set * ways_;
     size_t victim = base;
-    for (size_t i = base; i < base + ways_; ++i) {
+    for (size_t i = base; i < base + params_.associativity; ++i) {
         if (tags_[i] == kInvalidTag) {
             victim = i;
             break;
@@ -153,7 +150,7 @@ NvmCache::access(uint64_t tag, bool is_store)
     tags_[victim] = tag;
     stamps_[victim] = tick_;
     dirty_[victim] = static_cast<uint8_t>(is_store);
-    mru_[set] = static_cast<uint32_t>(victim - base);
+    mru_[set] = victim - base;
     ++stats_.nvm_line_reads; // fill from NVM
     obs::add(obs::Ctr::NvmFills);
     return false;

@@ -98,15 +98,16 @@ struct NvmStats {
  * by set: a tag per way (kInvalidTag marks an empty way), a last-touch
  * stamp per way and a dirty flag per way, plus one most-recently-used
  * way per set. A line's tag is its address shifted by the line size;
- * its set is the tag masked by the set count when that is a power of
- * two and the tag modulo the set count otherwise (the default 6 MiB
- * geometry has 3,072 sets). A lookup compares the set's MRU way first
- * and scans the set only when that compare fails. The MRU way is a
- * hint that checks itself: a set holds each tag at most once, so the
- * hint finds exactly the way the scan would, and it never changes a
- * decision. Hit or miss, the victim (the first empty way, else the
- * lowest-index way with the smallest stamp), write-backs, NvmStats and
- * the nvm.* counters are those of a plain scan of every way.
+ * its set is the tag modulo the set count. A lookup compares the set's
+ * MRU way first and scans the set only when that compare fails, so a
+ * hit on the line its set touched last costs one compare (on kv-zipf
+ * about 6 hits in 10; EXPERIMENTS.md, "O(1) hits in the NVM cache
+ * model"). The MRU way is a hint that checks itself: a set holds each
+ * tag at most once, so the hint finds exactly the way the scan would,
+ * and it never changes a decision. Hit or miss, the victim (the first
+ * empty way, else the lowest-index way with the smallest stamp),
+ * write-backs, NvmStats and the nvm.* counters are those of a plain
+ * scan of every way.
  *
  * Thread safety: all observer and persistency entry points serialize
  * on an internal mutex, because the parallel block engine drives
@@ -290,12 +291,7 @@ class NvmCache : public MemObserver
     static constexpr size_t kNoWay = SIZE_MAX;
 
     /** Set the line with tag @p tag maps to. */
-    size_t
-    setOf(uint64_t tag) const
-    {
-        return sets_pow2_ ? static_cast<size_t>(tag & (sets_ - 1))
-                          : static_cast<size_t>(tag % sets_);
-    }
+    size_t setOf(uint64_t tag) const { return tag % sets_; }
 
     /** Byte address of the first byte of line @p tag. */
     Addr lineAddr(uint64_t tag) const { return tag << line_shift_; }
@@ -322,15 +318,13 @@ class NvmCache : public MemObserver
 
     GlobalMemory &mem_;
     NvmParams params_;
-    size_t ways_;             //!< associativity
     size_t sets_;
-    bool sets_pow2_;          //!< setOf() may mask instead of divide
     unsigned line_shift_;     //!< log2(line_bytes)
-    // Per-way line state, sets_ x ways_, row-major by set.
+    // Per-way line state, sets_ x associativity, row-major by set.
     std::vector<uint64_t> tags_;   //!< line index, or kInvalidTag
     std::vector<uint64_t> stamps_; //!< last-touch tick of a cached line
     std::vector<uint8_t> dirty_;   //!< 1 while the way holds unwritten stores
-    std::vector<uint32_t> mru_;    //!< per set: way of the latest hit/fill
+    std::vector<size_t> mru_;      //!< per set: way of the latest hit/fill
     ZeroedBuffer shadow_;
     uint64_t tick_ = 0;
     NvmStats stats_;

@@ -661,6 +661,12 @@ TEST(NvmCacheTest, ConcurrentTrafficCountsEveryAccess)
     std::atomic<uint64_t> loads{0};
     std::atomic<uint64_t> stores{0};
     std::atomic<int> running{kWorkers};
+    // Workers pause at their midpoint until the fifth thread has run a
+    // whole flush-and-persist round with all of them paused there, so
+    // every worker has traffic before and after a flush; the flusher
+    // keeps going until the last worker is done.
+    std::atomic<int> halfway{0};
+    std::atomic<bool> flushed_at_halfway{false};
     std::vector<std::thread> threads;
     for (int w = 0; w < kWorkers; ++w) {
         threads.emplace_back([&, w] {
@@ -669,6 +675,11 @@ TEST(NvmCacheTest, ConcurrentTrafficCountsEveryAccess)
             uint64_t my_loads = 0;
             uint64_t my_stores = 0;
             for (int i = 0; i < kOpsPerWorker; ++i) {
+                if (i == kOpsPerWorker / 2) {
+                    ++halfway;
+                    while (!flushed_at_halfway.load())
+                        std::this_thread::yield();
+                }
                 Addr a = own + rng.nextBelow(kLinesPerWorker * 32) * 4;
                 if (rng.nextBool()) {
                     mem.write<uint32_t>(a, static_cast<uint32_t>(i));
@@ -686,13 +697,16 @@ TEST(NvmCacheTest, ConcurrentTrafficCountsEveryAccess)
     threads.emplace_back([&] {
         Prng rng(7);
         uint32_t v = 0;
-        while (running.load() > 0) {
+        do {
+            const bool all_halfway = halfway.load() == kWorkers;
             Addr a = workers + rng.nextBelow(kWorkers * kLinesPerWorker) * 128;
             nvm.flushRange(a, 1 + rng.nextBelow(4 * 128));
             Addr h = host + rng.nextBelow(kHostLines) * 128;
             std::memcpy(mem.raw(h), &++v, sizeof(v));
             nvm.persistRange(h, 128);
-        }
+            if (all_halfway)
+                flushed_at_halfway = true;
+        } while (running.load() > 0);
     });
     for (auto &t : threads)
         t.join();
@@ -703,6 +717,8 @@ TEST(NvmCacheTest, ConcurrentTrafficCountsEveryAccess)
     EXPECT_EQ(st.stores_observed, stores.load());
     EXPECT_EQ(st.nvm_line_reads, st.load_misses + st.store_misses);
     EXPECT_GT(st.dirty_evictions, 0u);
+    // Each round's persistRange publishes a freshly written host line.
+    EXPECT_GT(st.flushed_lines, 0u);
     const obs::CountersSnapshot after = obs::snapshotCounters();
     obs::setCountersEnabled(counters_were_on);
     auto delta = [&](obs::Ctr c) { return after[c] - before[c]; };

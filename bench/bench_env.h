@@ -26,6 +26,7 @@
 #include <cstring>
 #include <functional>
 
+#include "common/json.h"
 #include "harness/driver.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
@@ -92,17 +93,6 @@ benchCli(const char *bench, int argc, char **argv, bool takes_view = false)
     return cli;
 }
 
-/** Flush the trace, announcing where it went. */
-inline void
-benchFlushTrace()
-{
-    if (obs::traceEnabled() && obs::flushTrace()) {
-        std::printf("\nwrote Chrome trace %s (+.jsonl); load it in "
-                    "chrome://tracing or https://ui.perfetto.dev\n",
-                    obs::tracePath().c_str());
-    }
-}
-
 /**
  * Finish a bench run: flush the trace and write the generic
  * {bench, scale, wall_seconds, counters} object to --json; @p members,
@@ -110,29 +100,25 @@ benchFlushTrace()
  */
 inline void
 benchFinish(const BenchCli &cli,
-            const std::function<void(std::FILE *)> &members = nullptr)
+            const std::function<void(JsonWriter &)> &members = nullptr)
 {
     const double wall_seconds = cli.wallSeconds();
-    benchFlushTrace();
-    if (cli.json_path == nullptr)
-        return;
-    std::FILE *f = std::fopen(cli.json_path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     cli.json_path);
-        std::exit(1);
+    if (obs::traceEnabled() && obs::flushTrace()) {
+        std::printf("\nwrote Chrome trace %s (+.jsonl); load it in "
+                    "chrome://tracing or https://ui.perfetto.dev\n",
+                    obs::tracePath().c_str());
     }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"bench\": \"%s\",\n", cli.bench);
-    std::fprintf(f, "  \"scale\": %.4f,\n", cli.scale);
-    std::fprintf(f, "  \"wall_seconds\": %.3f,\n", wall_seconds);
-    if (members)
-        members(f);
-    std::fprintf(f, "  ");
-    obs::writeCountersJson(obs::snapshotCounters(), f, "  ");
-    std::fprintf(f, "\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", cli.json_path);
+    if (!writeJsonFile(cli.json_path, [&](JsonWriter &w) {
+            w.beginObject();
+            w.member("bench", cli.bench);
+            w.member("scale", cli.scale);
+            w.member("wall_seconds", wall_seconds);
+            if (members)
+                members(w);
+            obs::writeCounters(w, obs::snapshotCounters());
+            w.end();
+        }))
+        std::exit(1);
 }
 
 } // namespace gpulp

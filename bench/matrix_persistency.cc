@@ -313,40 +313,37 @@ main(int argc, char **argv)
                 shape_ok ? "yes" : "NO", lazy_ov * 100, epoch_ov * 100,
                 std::min(strict_ov, eager_ov) * 100);
 
-    benchFinish(cli, [&](std::FILE *f) {
-        std::fprintf(f, "  \"shape_ok\": %s,\n",
-                     shape_ok ? "true" : "false");
-        std::fprintf(f, "  \"models\": [");
-        for (size_t i = 0; i < std::size(kModels); ++i) {
-            std::fprintf(f, "%s{\"model\": \"%s\", \"guarantee\": \"%s\"}",
-                         i ? ", " : "", toString(kModels[i]),
-                         guaranteeOf(kModels[i]));
+    benchFinish(cli, [&](JsonWriter &w) {
+        w.member("shape_ok", shape_ok);
+        w.beginArray("models", JsonWriter::kOneLine);
+        for (PersistModel m : kModels) {
+            w.beginObject();
+            w.member("model", toString(m));
+            w.member("guarantee", guaranteeOf(m));
+            w.end();
         }
-        std::fprintf(f, "],\n");
-        std::fprintf(f, "  \"rows\": [\n");
-        for (size_t r = 0; r < rows.size(); ++r) {
-            const Row &row = rows[r];
-            std::fprintf(f, "    {\"row\": \"%s\", \"kind\": \"%s\", ",
-                         row.name.c_str(), row.kind);
-            std::fprintf(
-                f, "\"baseline_cycles\": %llu, \"baseline_writes\": %llu,",
-                static_cast<unsigned long long>(row.baseline_cycles),
-                static_cast<unsigned long long>(row.baseline_writes));
-            std::fprintf(f, " \"cells\": [");
+        w.end();
+        w.beginArray("rows");
+        for (const Row &row : rows) {
+            w.beginObject(JsonWriter::kOneLine);
+            w.member("row", row.name);
+            w.member("kind", row.kind);
+            w.member("baseline_cycles", row.baseline_cycles);
+            w.member("baseline_writes", row.baseline_writes);
+            w.beginArray("cells");
             for (size_t i = 0; i < row.models.size(); ++i) {
                 const ModelOut &mo = row.models[i];
-                std::fprintf(f,
-                             "%s{\"model\": \"%s\", \"overhead\": %.4f, "
-                             "\"write_amp\": %.4f, "
-                             "\"footprint_bytes\": %llu}",
-                             i ? ", " : "", toString(kModels[i]),
-                             mo.overhead, mo.write_amp,
-                             static_cast<unsigned long long>(
-                                 mo.footprint_bytes));
+                w.beginObject();
+                w.member("model", toString(kModels[i]));
+                w.member("overhead", mo.overhead);
+                w.member("write_amp", mo.write_amp);
+                w.member("footprint_bytes", mo.footprint_bytes);
+                w.end();
             }
-            std::fprintf(f, "]}%s\n", r + 1 < rows.size() ? "," : "");
+            w.end();
+            w.end();
         }
-        std::fprintf(f, "  ],\n");
+        w.end();
     });
     return shape_ok ? 0 : 1;
 }

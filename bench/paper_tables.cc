@@ -506,43 +506,6 @@ const View kViews[] = {
     {"sec7-2", "Sec. VII-2: single vs dual checksum on TMM + quad", sec7_2},
 };
 
-/** paper_tables' own --json members: the digest, views and cells. */
-void
-writeMembers(std::FILE *f, const std::vector<const View *> &views,
-             const std::vector<Geomeans> &geomeans,
-             const std::vector<MeasuredRun> &runs, uint64_t digest)
-{
-    std::fprintf(f, "  \"digest\": \"%016llx\",\n  \"views\": [\n",
-                 static_cast<unsigned long long>(digest));
-    for (size_t i = 0; i < views.size(); ++i) {
-        std::fprintf(f, "    {\"name\": \"%s\", \"geomeans\": {",
-                     views[i]->name);
-        const char *sep = "";
-        for (const auto &[header, value] : geomeans[i]) {
-            std::fprintf(f, "%s\"%s\": %.6f", sep, header.c_str(), value);
-            sep = ", ";
-        }
-        std::fprintf(f, "}}%s\n", i + 1 < views.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"cells\": [\n");
-    for (size_t i = 0; i < runs.size(); ++i) {
-        const MeasuredRun &r = runs[i];
-        std::fprintf(f,
-                     "    {\"workload\": \"%s\", \"config\": \"%s\", "
-                     "\"checksum\": \"%s\", \"load_factor\": %.6g, "
-                     "\"overhead\": %.6f",
-                     r.workload.c_str(), configLabel(r.config).c_str(),
-                     toString(r.config.checksum), r.config.load_factor,
-                     r.overhead);
-        forEachRunCount(r, [&](const char *name, uint64_t value) {
-            std::fprintf(f, ", \"%s\": %llu", name,
-                         static_cast<unsigned long long>(value));
-        });
-        std::fprintf(f, "}%s\n", i + 1 < runs.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-}
-
 } // namespace
 
 int
@@ -576,8 +539,36 @@ main(int argc, char **argv)
                 sweep.runs().size(), wall_seconds,
                 static_cast<unsigned long long>(digest));
 
-    benchFinish(cli, [&](std::FILE *f) {
-        writeMembers(f, views, geomeans, sweep.runs(), digest);
+    benchFinish(cli, [&](JsonWriter &w) {
+        char hex[17];
+        std::snprintf(hex, sizeof(hex), "%016llx",
+                      static_cast<unsigned long long>(digest));
+        w.member("digest", hex);
+        w.beginArray("views");
+        for (size_t i = 0; i < views.size(); ++i) {
+            w.beginObject(JsonWriter::kOneLine);
+            w.member("name", views[i]->name);
+            w.beginObject("geomeans");
+            for (const auto &[header, value] : geomeans[i])
+                w.member(header, value);
+            w.end();
+            w.end();
+        }
+        w.end();
+        w.beginArray("cells");
+        for (const MeasuredRun &r : sweep.runs()) {
+            w.beginObject(JsonWriter::kOneLine);
+            w.member("workload", r.workload);
+            w.member("config", configLabel(r.config));
+            w.member("checksum", toString(r.config.checksum));
+            w.member("load_factor", r.config.load_factor);
+            w.member("overhead", r.overhead);
+            forEachRunCount(r, [&](const char *name, uint64_t value) {
+                w.member(name, value);
+            });
+            w.end();
+        }
+        w.end();
     });
     if (!ok) {
         std::fprintf(stderr, "paper_tables: an enforced shape check "

@@ -4,6 +4,7 @@
 #include <deque>
 #include <map>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/prng.h"
 #include "harness/crashtrial.h"
@@ -445,74 +446,49 @@ runScheduleExploration(const ExplorerOptions &opts)
 }
 
 void
-writeExplorationJson(const ExplorerResult &result, std::FILE *out)
+writeExplorationJson(JsonWriter &w, const ExplorerResult &result)
 {
     const ExplorerOptions &o = result.options;
-    std::fprintf(out, "{\n");
-    std::fprintf(out, "  \"campaign\": \"schedule_exploration\",\n");
-    std::fprintf(out, "  \"scale\": %.6f,\n", o.scale);
-    std::fprintf(out, "  \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(o.seed));
-    std::fprintf(out, "  \"schedules\": %u,\n", o.schedules);
-    std::fprintf(out, "  \"crash_points\": %u,\n", o.crash_points);
-    std::fprintf(out, "  \"min_distinct_per_workload\": %u,\n",
-                 o.min_distinct_per_workload);
-    std::fprintf(out, "  \"workers\": %u,\n", result.workers);
-    std::fprintf(out, "  \"passed\": %s,\n",
-                 result.passed() ? "true" : "false");
-    std::fprintf(out, "  \"workload_coverage\": [\n");
-    auto coverage = result.workloadDistinct();
-    for (size_t i = 0; i < coverage.size(); ++i) {
-        std::fprintf(out,
-                     "    {\"workload\": \"%s\", "
-                     "\"distinct_interleavings\": %llu}%s\n",
-                     coverage[i].first.c_str(),
-                     static_cast<unsigned long long>(coverage[i].second),
-                     i + 1 < coverage.size() ? "," : "");
+    w.beginObject();
+    w.member("campaign", "schedule_exploration");
+    w.member("scale", o.scale);
+    w.member("seed", o.seed);
+    w.member("schedules", o.schedules);
+    w.member("crash_points", o.crash_points);
+    w.member("min_distinct_per_workload", o.min_distinct_per_workload);
+    w.member("workers", result.workers);
+    w.member("passed", result.passed());
+    w.beginArray("workload_coverage");
+    for (const auto &[workload, distinct] : result.workloadDistinct()) {
+        w.beginObject(JsonWriter::kOneLine);
+        w.member("workload", workload);
+        w.member("distinct_interleavings", distinct);
+        w.end();
     }
-    std::fprintf(out, "  ],\n");
-    std::fprintf(out, "  \"cells\": [\n");
-    for (size_t c = 0; c < result.cells.size(); ++c) {
-        const ExplorerCellResult &cell = result.cells[c];
-        std::fprintf(out, "    {\n");
-        std::fprintf(out, "      \"workload\": \"%s\",\n",
-                     cell.workload.c_str());
-        std::fprintf(out, "      \"policy\": \"%s\",\n",
-                     toString(cell.policy));
-        std::fprintf(out, "      \"runs\": %llu,\n",
-                     static_cast<unsigned long long>(cell.runs));
-        std::fprintf(out, "      \"distinct\": %llu,\n",
-                     static_cast<unsigned long long>(cell.distinct));
-        std::fprintf(out, "      \"races_flagged\": %llu,\n",
-                     static_cast<unsigned long long>(cell.races_flagged));
-        std::fprintf(out, "      \"novel_races\": %llu,\n",
-                     static_cast<unsigned long long>(cell.novel_races));
-        std::fprintf(out, "      \"backtracks\": %llu,\n",
-                     static_cast<unsigned long long>(cell.backtracks));
-        std::fprintf(out, "      \"crash_trials\": %llu,\n",
-                     static_cast<unsigned long long>(cell.crash_trials));
-        std::fprintf(out, "      \"false_passes\": %llu,\n",
-                     static_cast<unsigned long long>(cell.false_passes));
-        std::fprintf(out, "      \"unconverged\": %llu,\n",
-                     static_cast<unsigned long long>(cell.unconverged));
-        std::fprintf(out, "      \"verdict\": \"%s\",\n",
-                     cell.passed() ? "pass" : "FAIL");
-        std::fprintf(out, "      \"violations\": [");
-        for (size_t i = 0; i < cell.violations.size(); ++i) {
-            // Violation strings are generated by this module and
-            // contain no characters needing JSON escaping.
-            std::fprintf(out, "%s\"%s\"",
-                         i == 0 ? "" : ", ",
-                         cell.violations[i].c_str());
-        }
-        std::fprintf(out, "]\n");
-        std::fprintf(out, "    }%s\n",
-                     c + 1 < result.cells.size() ? "," : "");
+    w.end();
+    w.beginArray("cells");
+    for (const ExplorerCellResult &cell : result.cells) {
+        w.beginObject();
+        w.member("workload", cell.workload);
+        w.member("policy", toString(cell.policy));
+        w.member("runs", cell.runs);
+        w.member("distinct", cell.distinct);
+        w.member("races_flagged", cell.races_flagged);
+        w.member("novel_races", cell.novel_races);
+        w.member("backtracks", cell.backtracks);
+        w.member("crash_trials", cell.crash_trials);
+        w.member("false_passes", cell.false_passes);
+        w.member("unconverged", cell.unconverged);
+        w.member("verdict", cell.passed() ? "pass" : "FAIL");
+        w.beginArray("violations", JsonWriter::kOneLine);
+        for (const std::string &v : cell.violations)
+            w.value(v);
+        w.end();
+        w.end();
     }
-    std::fprintf(out, "  ],\n");
-    std::fprintf(out, "  ");
-    obs::writeCountersJson(result.counters, out, "  ");
-    std::fprintf(out, "\n}\n");
+    w.end();
+    obs::writeCounters(w, result.counters);
+    w.end();
 }
 
 } // namespace gpulp

@@ -37,7 +37,6 @@
 #ifndef GPULP_ANALYSIS_EXPLORER_H
 #define GPULP_ANALYSIS_EXPLORER_H
 
-#include <cstdio>
 #include <functional>
 #include <set>
 #include <string>
@@ -50,6 +49,7 @@
 namespace gpulp {
 
 class Device;
+class JsonWriter;
 
 /** Which resume-order policy a cell explores under. */
 enum class PolicyKind : uint8_t {
@@ -164,8 +164,8 @@ struct ExplorerResult {
 /** Run the sweep. Fatal on configuration errors. */
 ExplorerResult runScheduleExploration(const ExplorerOptions &opts);
 
-/** Emit the exploration report as JSON to @p out. */
-void writeExplorationJson(const ExplorerResult &result, std::FILE *out);
+/** Write the exploration report as one JSON object value. */
+void writeExplorationJson(JsonWriter &w, const ExplorerResult &result);
 
 } // namespace gpulp
 

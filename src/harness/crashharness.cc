@@ -11,6 +11,7 @@
 #include <memory>
 #include <type_traits>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/prng.h"
 
@@ -71,17 +72,17 @@ readWord(std::FILE *f, uint64_t *v)
     return std::fread(v, sizeof(*v), 1, f) == 1;
 }
 
-/** Every record word of @p t in file order: the shared trial fields,
- *  then the log forensics. */
+/** Call @p fn(key, field) for every field the recovery child reports,
+ *  in record order: the shared trial fields, then the log forensics. */
 template <typename Trial, typename Fn>
 void
-forEachRecordWord(Trial &t, Fn &&fn)
+forEachRecordField(Trial &t, Fn &&fn)
 {
-    forEachTrialField(t, [&](const char *, auto &field) { fn(field); });
-    fn(t.log_bytes_at_death);
-    fn(t.entries_replayed);
-    fn(t.torn_tail_bytes);
-    fn(t.crc_rejected);
+    forEachTrialField(t, fn);
+    fn("log_bytes_at_death", t.log_bytes_at_death);
+    fn("entries_replayed", t.entries_replayed);
+    fn("torn_tail_bytes", t.torn_tail_bytes);
+    fn("crc_rejected", t.crc_rejected);
 }
 
 /**
@@ -230,7 +231,8 @@ bool
 writeTrialFile(const std::string &path, const CrashTrialResult &trial)
 {
     std::vector<uint64_t> words;
-    forEachRecordWord(trial, [&](auto v) { words.push_back(v); });
+    forEachRecordField(trial,
+                       [&](const char *, auto v) { words.push_back(v); });
     std::FILE *f = std::fopen(path.c_str(), "wb");
     if (!f)
         return false;
@@ -243,7 +245,7 @@ bool
 readTrialFile(const std::string &path, CrashTrialResult *trial)
 {
     size_t n = 0;
-    forEachRecordWord(*trial, [&](const auto &) { ++n; });
+    forEachRecordField(*trial, [&](const char *, const auto &) { ++n; });
     std::vector<uint64_t> words(n);
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f)
@@ -255,7 +257,7 @@ readTrialFile(const std::string &path, CrashTrialResult *trial)
     CrashTrialResult read;
     read.killed_by_sigkill = trial->killed_by_sigkill;
     size_t i = 0;
-    forEachRecordWord(read, [&](auto &field) {
+    forEachRecordField(read, [&](const char *, auto &field) {
         const uint64_t w = words[i++];
         if constexpr (std::is_same_v<std::decay_t<decltype(field)>, bool>) {
             ok = ok && w <= 1;
@@ -360,44 +362,30 @@ runCrashHarness(const CrashHarnessOptions &opts_in)
 }
 
 void
-writeCrashHarnessJson(const CrashHarnessResult &result, std::FILE *out)
+writeCrashHarnessJson(JsonWriter &w, const CrashHarnessResult &result)
 {
     const CrashHarnessOptions &o = result.options;
-    std::fprintf(out, "    {\n");
-    std::fprintf(out, "      \"workload\": \"%s\",\n", o.workload.c_str());
-    std::fprintf(out, "      \"device\": \"%s\",\n",
-                 o.file_device ? "file" : "mem");
-    std::fprintf(out, "      \"table\": \"%s\",\n", toString(o.table));
-    std::fprintf(out, "      \"checksum\": \"%s\",\n",
-                 toString(o.checksum));
-    std::fprintf(out, "      \"scale\": %.6f,\n", o.scale);
-    std::fprintf(out, "      \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(o.seed));
-    std::fprintf(out, "      \"workers\": %u,\n", o.num_workers);
-    std::fprintf(out, "      \"num_blocks\": %llu,\n",
-                 static_cast<unsigned long long>(result.num_blocks));
-    std::fprintf(out, "      \"golden_stores\": %llu,\n",
-                 static_cast<unsigned long long>(result.golden_stores));
-    std::fprintf(out, "      \"passed\": %s,\n",
-                 result.passed() ? "true" : "false");
-    std::fprintf(out, "      \"trials\": [\n");
-    for (size_t i = 0; i < result.trials.size(); ++i) {
-        const CrashTrialResult &t = result.trials[i];
-        std::fprintf(out, "        {");
-        writeTrialJsonFields(t, out);
-        std::fprintf(out,
-                     ", \"sigkilled\": %s, \"log_bytes_at_death\": %llu, "
-                     "\"entries_replayed\": %llu, "
-                     "\"torn_tail_bytes\": %llu, \"crc_rejected\": %llu}%s\n",
-                     t.killed_by_sigkill ? "true" : "false",
-                     static_cast<unsigned long long>(t.log_bytes_at_death),
-                     static_cast<unsigned long long>(t.entries_replayed),
-                     static_cast<unsigned long long>(t.torn_tail_bytes),
-                     static_cast<unsigned long long>(t.crc_rejected),
-                     i + 1 < result.trials.size() ? "," : "");
+    w.beginObject();
+    w.member("workload", o.workload);
+    w.member("device", o.file_device ? "file" : "mem");
+    w.member("table", toString(o.table));
+    w.member("checksum", toString(o.checksum));
+    w.member("scale", o.scale);
+    w.member("seed", o.seed);
+    w.member("workers", o.num_workers);
+    w.member("num_blocks", result.num_blocks);
+    w.member("golden_stores", result.golden_stores);
+    w.member("passed", result.passed());
+    w.beginArray("trials");
+    for (const CrashTrialResult &t : result.trials) {
+        w.beginObject(JsonWriter::kOneLine);
+        forEachRecordField(
+            t, [&](const char *key, const auto &v) { w.member(key, v); });
+        w.member("sigkilled", t.killed_by_sigkill);
+        w.end();
     }
-    std::fprintf(out, "      ]\n");
-    std::fprintf(out, "    }");
+    w.end();
+    w.end();
 }
 
 } // namespace gpulp

@@ -37,13 +37,14 @@
 #ifndef GPULP_HARNESS_CRASHHARNESS_H
 #define GPULP_HARNESS_CRASHHARNESS_H
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "harness/crashtrial.h"
 
 namespace gpulp {
+
+class JsonWriter;
 
 /** What to run, where to crash, and which device backs it. */
 struct CrashHarnessOptions {
@@ -131,9 +132,8 @@ struct CrashHarnessResult {
  */
 CrashHarnessResult runCrashHarness(const CrashHarnessOptions &opts);
 
-/** Emit one harness result as a JSON object to @p out. */
-void writeCrashHarnessJson(const CrashHarnessResult &result,
-                           std::FILE *out);
+/** Write one harness result as a JSON object value. */
+void writeCrashHarnessJson(JsonWriter &w, const CrashHarnessResult &result);
 
 // Cross-process hand-off files ---------------------------------------------
 //

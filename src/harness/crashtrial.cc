@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <type_traits>
 
 #include "common/prng.h"
 
@@ -31,20 +30,6 @@ deviceParams(const TrialCell &cell)
 }
 
 } // namespace
-
-void
-writeTrialJsonFields(const TrialResult &trial, std::FILE *out)
-{
-    const char *sep = "";
-    forEachTrialField(trial, [&](const char *key, const auto &v) {
-        if constexpr (std::is_same_v<std::decay_t<decltype(v)>, bool>)
-            std::fprintf(out, "%s\"%s\": %s", sep, key, v ? "true" : "false");
-        else
-            std::fprintf(out, "%s\"%s\": %llu", sep, key,
-                         static_cast<unsigned long long>(v));
-        sep = ", ";
-    });
-}
 
 LpConfig
 campaignCellConfig(const Workload &w, TableKind table, ChecksumKind kind)

@@ -36,7 +36,6 @@
 #ifndef GPULP_HARNESS_CRASHTRIAL_H
 #define GPULP_HARNESS_CRASHTRIAL_H
 
-#include <cstdio>
 #include <memory>
 #include <set>
 #include <string>
@@ -107,9 +106,6 @@ forEachTrialField(Trial &t, Fn &&fn)
     fn("durable_match", t.output_matches_golden);
     fn("verify_ok", t.verify_ok);
 }
-
-/** Write @p trial's fields as comma-separated JSON members (no braces). */
-void writeTrialJsonFields(const TrialResult &trial, std::FILE *out);
 
 /** Which cell a CrashTrial runs. */
 struct TrialCell {

@@ -1,5 +1,6 @@
 #include "driver.h"
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -96,6 +97,52 @@ parseScaleOrDie(const char *text, const char *what)
     if (scale <= 0.0 || scale > 1.0)
         GPULP_FATAL("%s must be in (0, 1], got '%s'", what, text);
     return scale;
+}
+
+uint64_t
+parseUintOrDie(const char *text, const char *what, uint64_t max)
+{
+    // strtoull() alone would take "-1" as 2^64 - 1 and clamp overflow.
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0')
+        GPULP_FATAL("%s must be a non-negative integer, got '%s'", what,
+                    text);
+    if (errno == ERANGE || v > max)
+        GPULP_FATAL("%s must be at most %llu, got '%s'", what,
+                    static_cast<unsigned long long>(max), text);
+    return v;
+}
+
+uint32_t
+parseWorkersOrDie(const char *text, const char *what)
+{
+    return static_cast<uint32_t>(parseUintOrDie(text, what, kMaxWorkers));
+}
+
+const char *
+flagValue(int argc, char **argv, int &i)
+{
+    if (i + 1 >= argc)
+        GPULP_FATAL("%s needs a value", argv[i]);
+    return argv[++i];
+}
+
+std::vector<std::string>
+splitList(const std::string &text)
+{
+    std::vector<std::string> out;
+    size_t start = 0;
+    while (start <= text.size()) {
+        size_t comma = text.find(',', start);
+        if (comma == std::string::npos)
+            comma = text.size();
+        if (comma > start)
+            out.push_back(text.substr(start, comma - start));
+        start = comma + 1;
+    }
+    return out;
 }
 
 double

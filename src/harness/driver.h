@@ -12,6 +12,8 @@
 #ifndef GPULP_HARNESS_DRIVER_H
 #define GPULP_HARNESS_DRIVER_H
 
+#include <concepts>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -135,6 +137,32 @@ double benchScaleFromEnv();
  * range.
  */
 double parseScaleOrDie(const char *text, const char *what);
+
+/**
+ * Parse @p text as a decimal integer in [0, @p max]; @p what names the
+ * flag in the fatal diagnostic when the text is garbage, has trailing
+ * junk, is signed or is out of range.
+ */
+uint64_t parseUintOrDie(const char *text, const char *what, uint64_t max);
+
+/** parseUintOrDie() up to the largest @p T. */
+template <std::unsigned_integral T>
+T
+parseUintOrDie(const char *text, const char *what)
+{
+    return static_cast<T>(
+        parseUintOrDie(text, what, std::numeric_limits<T>::max()));
+}
+
+/** parseUintOrDie() for a worker count: 0 (auto) to kMaxWorkers. */
+uint32_t parseWorkersOrDie(const char *text, const char *what);
+
+/** The argument after the flag argv[@p i], stepping @p i past it;
+ *  fatal when the flag is the last argument. */
+const char *flagValue(int argc, char **argv, int &i);
+
+/** The non-empty items of the comma-separated list @p text. */
+std::vector<std::string> splitList(const std::string &text);
 
 } // namespace gpulp
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/json.h"
 #include "common/prng.h"
 #include "obs/trace.h"
 
@@ -147,56 +148,42 @@ runFaultCampaign(const CampaignOptions &opts)
 }
 
 void
-writeCampaignJson(const CampaignResult &result, std::FILE *out)
+writeCampaignJson(JsonWriter &w, const CampaignResult &result)
 {
     const CampaignOptions &o = result.options;
-    std::fprintf(out, "{\n");
-    std::fprintf(out, "  \"campaign\": \"crash_fault_injection\",\n");
-    std::fprintf(out, "  \"scale\": %.6f,\n", o.scale);
-    std::fprintf(out, "  \"seed\": %llu,\n",
-                 static_cast<unsigned long long>(o.seed));
-    std::fprintf(out, "  \"grid_points\": %u,\n", o.grid_points);
-    std::fprintf(out, "  \"random_points\": %u,\n", o.random_points);
-    std::fprintf(out, "  \"workers\": %u,\n", result.workers);
-    std::fprintf(out, "  \"passed\": %s,\n",
-                 result.passed() ? "true" : "false");
-    std::fprintf(out, "  \"cells\": [\n");
-    for (size_t c = 0; c < result.cells.size(); ++c) {
-        const CellResult &cell = result.cells[c];
-        std::fprintf(out, "    {\n");
-        std::fprintf(out, "      \"workload\": \"%s\",\n",
-                     cell.workload.c_str());
-        std::fprintf(out, "      \"model\": \"%s\",\n",
-                     toString(cell.model));
-        std::fprintf(out, "      \"table\": \"%s\",\n",
-                     toString(cell.table));
-        std::fprintf(out, "      \"checksum\": \"%s\",\n",
-                     toString(cell.checksum));
-        std::fprintf(out, "      \"num_blocks\": %llu,\n",
-                     static_cast<unsigned long long>(cell.num_blocks));
-        std::fprintf(out, "      \"golden_stores\": %llu,\n",
-                     static_cast<unsigned long long>(cell.golden_stores));
-        std::fprintf(out, "      \"crash_points\": %zu,\n",
-                     cell.trials.size());
-        std::fprintf(out, "      \"false_passes\": %llu,\n",
-                     static_cast<unsigned long long>(cell.falsePasses()));
-        std::fprintf(out, "      \"verdict\": \"%s\",\n",
-                     cell.passed() ? "pass" : "FAIL");
-        std::fprintf(out, "      \"trials\": [\n");
-        for (size_t i = 0; i < cell.trials.size(); ++i) {
-            std::fprintf(out, "        {");
-            writeTrialJsonFields(cell.trials[i], out);
-            std::fprintf(out, "}%s\n",
-                         i + 1 < cell.trials.size() ? "," : "");
+    w.beginObject();
+    w.member("campaign", "crash_fault_injection");
+    w.member("scale", o.scale);
+    w.member("seed", o.seed);
+    w.member("grid_points", o.grid_points);
+    w.member("random_points", o.random_points);
+    w.member("workers", result.workers);
+    w.member("passed", result.passed());
+    w.beginArray("cells");
+    for (const CellResult &cell : result.cells) {
+        w.beginObject();
+        w.member("workload", cell.workload);
+        w.member("model", toString(cell.model));
+        w.member("table", toString(cell.table));
+        w.member("checksum", toString(cell.checksum));
+        w.member("num_blocks", cell.num_blocks);
+        w.member("golden_stores", cell.golden_stores);
+        w.member("crash_points", cell.trials.size());
+        w.member("false_passes", cell.falsePasses());
+        w.member("verdict", cell.passed() ? "pass" : "FAIL");
+        w.beginArray("trials");
+        for (const TrialResult &t : cell.trials) {
+            w.beginObject(JsonWriter::kOneLine);
+            forEachTrialField(
+                t, [&](const char *key, const auto &v) { w.member(key, v); });
+            w.end();
         }
-        std::fprintf(out, "      ]\n");
-        std::fprintf(out, "    }%s\n",
-                     c + 1 < result.cells.size() ? "," : "");
+        w.end();
+        w.end();
     }
-    std::fprintf(out, "  ],\n");
-    std::fprintf(out, "  ");
-    obs::writeCountersJson(result.counters, out, "  ");
-    std::fprintf(out, "\n}\n");
+    w.end();
+    obs::writeCounters(w, result.counters);
+    w.end();
 }
 
 } // namespace gpulp

@@ -22,7 +22,6 @@
 #ifndef GPULP_HARNESS_FAULTCAMPAIGN_H
 #define GPULP_HARNESS_FAULTCAMPAIGN_H
 
-#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -31,6 +30,8 @@
 #include "obs/counters.h"
 
 namespace gpulp {
+
+class JsonWriter;
 
 /** What to sweep and how hard. */
 struct CampaignOptions {
@@ -152,8 +153,8 @@ class CrashSchedule
     std::set<uint64_t> points_;
 };
 
-/** Emit the campaign report as JSON to @p out. */
-void writeCampaignJson(const CampaignResult &result, std::FILE *out);
+/** Write the campaign report as one JSON object value. */
+void writeCampaignJson(JsonWriter &w, const CampaignResult &result);
 
 } // namespace gpulp
 

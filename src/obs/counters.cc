@@ -1,15 +1,16 @@
 #include "counters.h"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "obs/trace.h"
 
@@ -147,25 +148,6 @@ struct ShardLease {
     }
 };
 
-void
-appendEscaped(std::string &out, const char *text)
-{
-    // Metric names are static identifiers, but keep the writer honest.
-    for (const char *p = text; *p != '\0'; ++p) {
-        if (*p == '"' || *p == '\\')
-            out.push_back('\\');
-        out.push_back(*p);
-    }
-}
-
-void
-appendU64(std::string &out, uint64_t v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-    out += buf;
-}
-
 } // namespace
 
 namespace detail {
@@ -287,81 +269,44 @@ resetCounters()
     Registry::instance().reset();
 }
 
-std::string
-countersJson(const CountersSnapshot &snap, const std::string &indent)
+void
+writeCounters(JsonWriter &w, const CountersSnapshot &snap)
 {
-    std::string out = "{";
-    const std::string inner = indent + "  ";
-    bool first = true;
+    w.beginObject("counters");
     for (size_t c = 0; c < kNumCounters; ++c) {
-        if (snap.counters[c] == 0)
-            continue; // elide zeros: only what the run actually touched
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += inner + "\"";
-        appendEscaped(out, name(static_cast<Ctr>(c)));
-        out += "\": ";
-        appendU64(out, snap.counters[c]);
+        if (snap.counters[c] != 0) // only what the run actually touched
+            w.member(name(static_cast<Ctr>(c)), snap.counters[c]);
     }
     bool any_hist = false;
     for (const HistSnapshot &h : snap.hists)
         any_hist = any_hist || h.count > 0;
     if (any_hist) {
-        out += first ? "\n" : ",\n";
-        first = false;
-        out += inner + "\"histograms\": {";
-        bool first_h = true;
+        w.beginObject("histograms");
         for (size_t h = 0; h < kNumHistograms; ++h) {
             const HistSnapshot &hs = snap.hists[h];
             if (hs.count == 0)
                 continue;
-            out += first_h ? "\n" : ",\n";
-            first_h = false;
-            out += inner + "  \"";
-            appendEscaped(out, name(static_cast<Hist>(h)));
-            out += "\": {\"count\": ";
-            appendU64(out, hs.count);
-            out += ", \"sum\": ";
-            appendU64(out, hs.sum);
-            out += ", \"min\": ";
-            appendU64(out, hs.min);
-            out += ", \"max\": ";
-            appendU64(out, hs.max);
-            char stat_buf[128];
-            std::snprintf(stat_buf, sizeof(stat_buf),
-                          ", \"mean\": %.3f, \"p50\": %.1f, "
-                          "\"p99\": %.1f, \"p999\": %.1f",
-                          hs.mean(), hs.percentile(0.50),
-                          hs.percentile(0.99), hs.percentile(0.999));
-            out += stat_buf;
-            // Buckets as {"2^k": n} for the non-empty powers of two.
-            out += ", \"buckets\": {";
-            bool first_b = true;
+            w.beginObject(name(static_cast<Hist>(h)), JsonWriter::kOneLine);
+            w.member("count", hs.count);
+            w.member("sum", hs.sum);
+            w.member("min", hs.min);
+            w.member("max", hs.max);
+            w.member("mean", hs.mean());
+            w.member("p50", hs.percentile(0.50));
+            w.member("p99", hs.percentile(0.99));
+            w.member("p999", hs.percentile(0.999));
+            // Buckets as {"lt_2^k": n} for the non-empty powers of two.
+            w.beginObject("buckets");
             for (size_t b = 0; b < kHistBuckets; ++b) {
-                if (hs.buckets[b] == 0)
-                    continue;
-                if (!first_b)
-                    out += ", ";
-                first_b = false;
-                out += "\"lt_2^";
-                appendU64(out, b);
-                out += "\": ";
-                appendU64(out, hs.buckets[b]);
+                if (hs.buckets[b] != 0)
+                    w.member("lt_2^" + std::to_string(b), hs.buckets[b]);
             }
-            out += "}}";
+            w.end();
+            w.end();
         }
-        out += "\n" + inner + "}";
+        w.end();
     }
-    out += first ? "}" : "\n" + indent + "}";
-    return out;
-}
-
-void
-writeCountersJson(const CountersSnapshot &snap, std::FILE *out,
-                  const std::string &indent)
-{
-    std::fprintf(out, "\"counters\": %s",
-                 countersJson(snap, indent).c_str());
+    w.end();
 }
 
 void

@@ -43,8 +43,10 @@
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <cstdio>
-#include <string>
+
+namespace gpulp {
+class JsonWriter;
+}
 
 namespace gpulp::obs {
 
@@ -332,18 +334,12 @@ CountersSnapshot snapshotCounters();
 void resetCounters();
 
 /**
- * The snapshot as a JSON object string: zero counters are elided,
- * histograms appear under "histograms" with count/sum/min/max/mean and
- * their non-empty power-of-two buckets. @p indent prefixes every line
- * after the first (so callers can embed the object at any nesting
- * depth); the result carries no trailing newline.
+ * Write the snapshot as the "counters" member of the writer's open
+ * object: zero counters are elided; histograms appear under
+ * "histograms" with count/sum/min/max, mean, p50/p99/p999 and their
+ * non-empty power-of-two buckets.
  */
-std::string countersJson(const CountersSnapshot &snap,
-                         const std::string &indent = "");
-
-/** Write `"counters": {...}` (no trailing comma/newline) to @p out. */
-void writeCountersJson(const CountersSnapshot &snap, std::FILE *out,
-                       const std::string &indent);
+void writeCounters(JsonWriter &w, const CountersSnapshot &snap);
 
 /**
  * Apply GPULP_COUNTERS ("1"/"0" force on/off) and GPULP_TRACE (a path

@@ -1,12 +1,11 @@
 #include "trace.h"
 
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
 #include <cstdlib>
 #include <mutex>
 #include <vector>
 
+#include "common/json.h"
 #include "common/logging.h"
 
 namespace gpulp::obs {
@@ -61,74 +60,64 @@ atexitFlush()
         flushTrace();
 }
 
+/** The Chrome trace: one process, one track per host thread. */
 void
-writeEventArgs(std::FILE *f, const Event &e)
+writeChrome(JsonWriter &w, const std::vector<Event> &events)
 {
-    if (e.arg_name != nullptr) {
-        std::fprintf(f, ", \"args\": {\"%s\": %" PRIu64 "}", e.arg_name,
-                     e.arg);
-    }
-}
-
-bool
-writeChromeJson(const TraceState &s)
-{
-    std::FILE *f = std::fopen(s.chrome_path.c_str(), "w");
-    if (f == nullptr) {
-        GPULP_WARN("cannot write Chrome trace to %s",
-                   s.chrome_path.c_str());
-        return false;
-    }
-    std::fprintf(f, "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
-    // One process, one track per host thread; name the process so
-    // Perfetto shows something meaningful in the track header.
-    std::fprintf(f,
-                 "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, "
-                 "\"tid\": 0, \"args\": {\"name\": \"gpulp\"}}");
-    for (const Event &e : s.events) {
-        std::fprintf(f, ",\n");
-        if (e.dur_us == UINT64_MAX) {
-            std::fprintf(f,
-                         "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": "
-                         "\"i\", \"s\": \"t\", \"ts\": %" PRIu64
-                         ", \"pid\": 1, \"tid\": %u",
-                         e.name, e.cat, e.ts_us, e.tid);
-        } else {
-            std::fprintf(f,
-                         "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": "
-                         "\"X\", \"ts\": %" PRIu64 ", \"dur\": %" PRIu64
-                         ", \"pid\": 1, \"tid\": %u",
-                         e.name, e.cat, e.ts_us, e.dur_us, e.tid);
+    w.beginObject();
+    w.member("displayTimeUnit", "ms");
+    w.beginArray("traceEvents");
+    // Name the process so Perfetto shows something meaningful in the
+    // track header.
+    w.beginObject(JsonWriter::kOneLine);
+    w.member("name", "process_name");
+    w.member("ph", "M");
+    w.member("pid", 1);
+    w.member("tid", 0);
+    w.beginObject("args");
+    w.member("name", "gpulp");
+    w.end();
+    w.end();
+    for (const Event &e : events) {
+        const bool instant = e.dur_us == UINT64_MAX;
+        w.beginObject(JsonWriter::kOneLine);
+        w.member("name", e.name);
+        w.member("cat", e.cat);
+        w.member("ph", instant ? "i" : "X");
+        if (instant)
+            w.member("s", "t");
+        w.member("ts", e.ts_us);
+        if (!instant)
+            w.member("dur", e.dur_us);
+        w.member("pid", 1);
+        w.member("tid", e.tid);
+        if (e.arg_name != nullptr) {
+            w.beginObject("args");
+            w.member(e.arg_name, e.arg);
+            w.end();
         }
-        writeEventArgs(f, e);
-        std::fprintf(f, "}");
+        w.end();
     }
-    std::fprintf(f, "\n]}\n");
-    std::fclose(f);
-    return true;
+    w.end();
+    w.end();
 }
 
-bool
-writeJsonl(const TraceState &s)
+/** The JSONL log: one flat object per event, one event per line. */
+void
+writeJsonl(JsonWriter &w, const std::vector<Event> &events)
 {
-    const std::string path = s.chrome_path + ".jsonl";
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        GPULP_WARN("cannot write JSONL trace to %s", path.c_str());
-        return false;
-    }
-    for (const Event &e : s.events) {
-        std::fprintf(f, "{\"ts_us\": %" PRIu64 ", ", e.ts_us);
+    for (const Event &e : events) {
+        w.beginObject(JsonWriter::kOneLine);
+        w.member("ts_us", e.ts_us);
         if (e.dur_us != UINT64_MAX)
-            std::fprintf(f, "\"dur_us\": %" PRIu64 ", ", e.dur_us);
-        std::fprintf(f, "\"tid\": %u, \"name\": \"%s\", \"cat\": \"%s\"",
-                     e.tid, e.name, e.cat);
+            w.member("dur_us", e.dur_us);
+        w.member("tid", e.tid);
+        w.member("name", e.name);
+        w.member("cat", e.cat);
         if (e.arg_name != nullptr)
-            std::fprintf(f, ", \"%s\": %" PRIu64, e.arg_name, e.arg);
-        std::fprintf(f, "}\n");
+            w.member(e.arg_name, e.arg);
+        w.end();
     }
-    std::fclose(f);
-    return true;
 }
 
 } // namespace
@@ -218,7 +207,13 @@ flushTrace()
     std::lock_guard<std::mutex> lk(s.mu);
     if (s.chrome_path.empty())
         return false;
-    return writeChromeJson(s) && writeJsonl(s);
+    const auto write = [&](const std::string &path, auto format) {
+        return writeJsonFile(
+            path.c_str(), [&](JsonWriter &w) { format(w, s.events); },
+            /*quiet=*/true);
+    };
+    return write(s.chrome_path, writeChrome) &&
+           write(s.chrome_path + ".jsonl", writeJsonl);
 }
 
 size_t

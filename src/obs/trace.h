@@ -77,8 +77,8 @@ void traceInstant(const char *name, const char *cat, uint64_t arg = 0,
 /**
  * Write the Chrome JSON and JSONL files from everything buffered so
  * far. Idempotent — the buffer is kept, so later flushes rewrite the
- * files with strictly more events. Returns false (with a warning) if a
- * file cannot be opened.
+ * files with strictly more events. Returns false (with a message on
+ * stderr) if a file cannot be written.
  */
 bool flushTrace();
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
 
+#include "common/json.h"
 #include "common/logging.h"
 
 namespace gpulp::service {
@@ -458,6 +460,67 @@ KvServer::serve(uint64_t min_acked, uint32_t crash_points)
         report.latency.min = 0;
     audit(report);
     return report;
+}
+
+void
+writeServeReportJson(JsonWriter &w, const ServeReport &report,
+                     const KvServerOptions &opts, uint64_t ops,
+                     uint32_t crash_points,
+                     const obs::CountersSnapshot &counters)
+{
+    w.beginObject();
+    w.beginObject("config", JsonWriter::kOneLine);
+    w.member("ops", ops);
+    w.member("zipf_theta", opts.zipf_theta);
+    w.member("mix", std::to_string(opts.mix.insert_pct) + "/" +
+                        std::to_string(opts.mix.search_pct) + "/" +
+                        std::to_string(opts.mix.erase_pct));
+    w.member("crash_points", crash_points);
+    w.member("seed", opts.seed);
+    w.member("batch_ops", opts.batch_ops);
+    w.member("buckets", opts.buckets);
+    w.member("keyspace", opts.keyspace);
+    w.member("checkpoint_batches", opts.checkpoint_batches);
+    w.end();
+    w.member("requests_enqueued", report.requests_enqueued);
+    w.member("requests_acked", report.requests_acked);
+    w.member("inserts_coalesced", report.inserts_coalesced);
+    w.member("batches_served", report.batches_served);
+    w.member("insert_drops", report.insert_drops);
+    w.member("search_misses", report.search_misses);
+    w.member("checkpoints", report.checkpoints);
+    w.member("total_cycles", report.total_cycles);
+    w.member("device_busy_cycles", report.device_busy_cycles);
+    w.beginObject("latency", JsonWriter::kOneLine);
+    w.member("count", report.latency.count);
+    w.member("mean", report.latency.mean());
+    w.member("p50", report.latency.percentile(0.50));
+    w.member("p99", report.latency.percentile(0.99));
+    w.member("p999", report.latency.percentile(0.999));
+    w.member("max", report.latency.max);
+    w.end();
+    w.beginArray("crashes");
+    for (const CrashEvent &ev : report.crashes) {
+        w.beginObject(JsonWriter::kOneLine);
+        w.member("store_point", ev.store_point);
+        w.member("at_cycle", ev.at_cycle);
+        w.member("torn_lines", ev.torn_lines);
+        w.member("batches_replayed", ev.batches_replayed);
+        w.member("blocks_recovered", ev.blocks_recovered);
+        w.member("recovery_rounds", ev.recovery_rounds);
+        w.member("recovery_cycles", ev.recovery_cycles);
+        w.member("availability_gap", ev.availability_gap);
+        w.member("requests_recovered", ev.requests_recovered);
+        w.member("converged", ev.converged);
+        w.end();
+    }
+    w.end();
+    w.member("acked_lost", report.acked_lost);
+    w.member("phantom_keys", report.phantom_keys);
+    w.member("drops_resurrected", report.drops_resurrected);
+    w.member("audit_ok", report.audit_ok);
+    obs::writeCounters(w, counters);
+    w.end();
 }
 
 } // namespace gpulp::service

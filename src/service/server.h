@@ -200,6 +200,16 @@ class KvServer
     bool served_ = false;
 };
 
+/**
+ * Write one serve() run as a JSON object value: its configuration
+ * (@p opts, @p ops, @p crash_points), the serving totals, latency
+ * percentiles, every crash, the audit and @p counters.
+ */
+void writeServeReportJson(JsonWriter &w, const ServeReport &report,
+                          const KvServerOptions &opts, uint64_t ops,
+                          uint32_t crash_points,
+                          const obs::CountersSnapshot &counters);
+
 } // namespace gpulp::service
 
 #endif // GPULP_SERVICE_SERVER_H

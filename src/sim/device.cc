@@ -44,7 +44,7 @@ Device::resolveWorkers() const
         if (const char *env = std::getenv("GPULP_WORKERS")) {
             char *end = nullptr;
             unsigned long v = std::strtoul(env, &end, 10);
-            if (end != env && *end == '\0' && v > 0 && v <= 1024)
+            if (end != env && *end == '\0' && v > 0 && v <= kMaxWorkers)
                 w = static_cast<uint32_t>(v);
         }
     }
@@ -106,7 +106,7 @@ Device::WorkerState::runThread(uint32_t t)
 void
 Device::runBlockLocal(const LaunchConfig &cfg, uint64_t rank,
                       const KernelFn &kernel, WorkerState &ws,
-                      RankGate *gate, BlockOutcome &out)
+                      RankGate &gate, BlockOutcome &out)
 {
     ws.timing.reset();
     obs::add(obs::Ctr::SimBlocks);
@@ -177,7 +177,6 @@ Device::launch(const LaunchConfig &cfg, const KernelFn &kernel)
         worker_states_.push_back(std::make_unique<WorkerState>(mem_, params_));
 
     RankGate gate(num_blocks, workers);
-    RankGate *gate_ptr = params_.strict_atomic_order ? &gate : nullptr;
 
     // Gate waits are purely event-driven now, so the NVM crash latch
     // must wake gate-parked workers itself; route it at the gate for
@@ -197,7 +196,7 @@ Device::launch(const LaunchConfig &cfg, const KernelFn &kernel)
             if (nvm_ && nvm_->crashPending())
                 break;
             BlockOutcome out;
-            runBlockLocal(cfg, rank, kernel, ws, gate_ptr, out);
+            runBlockLocal(cfg, rank, kernel, ws, gate, out);
             if (out.crashed)
                 break;
             gate.complete(rank);
@@ -220,7 +219,7 @@ Device::launch(const LaunchConfig &cfg, const KernelFn &kernel)
                 if (rank >= num_blocks)
                     break;
                 BlockOutcome &out = outcomes[rank];
-                runBlockLocal(cfg, rank, kernel, ws, gate_ptr, out);
+                runBlockLocal(cfg, rank, kernel, ws, gate, out);
                 if (out.crashed)
                     break;
                 gate.complete(rank);

@@ -40,6 +40,9 @@ namespace gpulp {
 /** Kernel body type: invoked once per simulated thread. */
 using KernelFn = std::function<void(ThreadCtx &)>;
 
+/** Most host worker threads a device runs blocks on. */
+constexpr uint32_t kMaxWorkers = 1024;
+
 /** Construction parameters for a Device. */
 struct DeviceParams {
     size_t arena_bytes = 256 * 1024 * 1024; //!< global-memory capacity
@@ -48,20 +51,12 @@ struct DeviceParams {
 
     /**
      * Host worker threads executing thread blocks concurrently.
-     * 0 = auto: the GPULP_WORKERS environment variable if set, else
-     * hardware_concurrency. 1 = legacy single-threaded execution on
-     * the launching thread. Results are bit-identical at any value.
+     * 0 = auto: the GPULP_WORKERS environment variable if set (1 to
+     * kMaxWorkers), else hardware_concurrency. 1 = legacy
+     * single-threaded execution on the launching thread. Results are
+     * bit-identical at any value.
      */
     uint32_t num_workers = 0;
-
-    /**
-     * Serialize ordering-sensitive accesses (global atomics, declared
-     * ordered regions) in block-rank order so functional results are
-     * deterministic across worker counts. Disabling removes the rank
-     * gate: embarrassingly parallel workloads are unaffected, but
-     * cross-block atomic results become schedule-dependent.
-     */
-    bool strict_atomic_order = true;
 
     TimingParams timing;                    //!< timing model parameters
 };
@@ -216,7 +211,7 @@ class Device
      */
     void runBlockLocal(const LaunchConfig &cfg, uint64_t rank,
                        const KernelFn &kernel, WorkerState &ws,
-                       RankGate *gate, BlockOutcome &out);
+                       RankGate &gate, BlockOutcome &out);
 
     /**
      * Commit @p out at the next free SM in rank order: replay its

@@ -99,14 +99,14 @@ BlockState::BlockState(GlobalMemory &mem, MemTiming &timing,
 
 void
 BlockState::reset(NvmCache *nvm, Dim3 block_idx, const LaunchConfig &cfg,
-                  Cycles start, RankGate *gate, uint64_t rank,
+                  Cycles start, RankGate &gate, uint64_t rank,
                   const OrderedRegions *ordered)
 {
     nvm_ = nvm;
     block_idx_ = block_idx;
     cfg_ = cfg;
     start_ = start;
-    gate_ = gate;
+    gate_ = &gate;
     rank_ = rank;
     ordered_ = ordered != nullptr && !ordered->empty() ? ordered : nullptr;
     gate_leader_ = false;
@@ -219,7 +219,7 @@ BlockState::run(std::span<const std::unique_ptr<Fiber>> fibers,
             first->resume();
         if (block_rv_.live == 0)
             break;
-        if (gate_ == nullptr || gate_waiters_.empty())
+        if (gate_waiters_.empty())
             GPULP_PANIC("thread block (%u,%u,%u) deadlocked: %u threads "
                         "waiting on a collective that cannot release",
                         block_idx_.x, block_idx_.y, block_idx_.z,
@@ -354,7 +354,7 @@ BlockState::sharedSlot(uint32_t slot_id, size_t bytes)
 void
 BlockState::gateOrdering(uint32_t tid)
 {
-    if (gate_leader_ || gate_ == nullptr)
+    if (gate_leader_)
         return;
     // Queue behind threads already parked on the gate even when the
     // frontier has just reached this rank: letting this thread lead

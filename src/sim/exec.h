@@ -397,13 +397,13 @@ class BlockState
      * @param block_idx This block's index in the grid.
      * @param cfg The launch configuration.
      * @param start Absolute cycle at which this block's SM started it.
-     * @param gate Rank gate serializing ordering-sensitive accesses, or
-     *        nullptr to run ungated (single worker / relaxed order).
+     * @param gate The launch's rank gate, which serializes
+     *        ordering-sensitive accesses in block-rank order.
      * @param rank This block's flat rank in the grid.
      * @param ordered Declared ordered regions, or nullptr.
      */
     void reset(NvmCache *nvm, Dim3 block_idx, const LaunchConfig &cfg,
-               Cycles start, RankGate *gate = nullptr, uint64_t rank = 0,
+               Cycles start, RankGate &gate, uint64_t rank,
                const OrderedRegions *ordered = nullptr);
 
     /** Number of threads in the block. */
@@ -476,9 +476,6 @@ class BlockState
     /** This block's flat rank in the grid. */
     uint64_t rank() const { return rank_; }
 
-    /** The launch's rank gate, or nullptr when ungated. */
-    RankGate *gate() { return gate_; }
-
     /**
      * Block until this block is the rank leader (every lower rank has
      * completed). First ordering-sensitive access of the block pays
@@ -496,7 +493,7 @@ class BlockState
     bool
     mustOrder(Addr addr, size_t bytes) const
     {
-        return gate_ != nullptr && !gate_leader_ && ordered_ != nullptr &&
+        return !gate_leader_ && ordered_ != nullptr &&
                inOrderedRegion(addr, bytes);
     }
 

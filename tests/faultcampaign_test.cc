@@ -174,6 +174,33 @@ TEST(ScaleParse, RejectsGarbageTrailingJunkAndNonFinite)
                 ::testing::ExitedWithCode(1), "GPULP_SCALE");
 }
 
+// ---------------------------------------------------------------------
+// The tools' integer and list flags
+// ---------------------------------------------------------------------
+
+TEST(FlagParseDeathTest, WorkersOutsideZeroToMaxAreFatal)
+{
+    EXPECT_EQ(parseWorkersOrDie("0", "--workers"), 0u);
+    EXPECT_EQ(parseWorkersOrDie("8", "--workers"), 8u);
+    EXPECT_EQ(parseWorkersOrDie("1024", "--workers"), kMaxWorkers);
+    // 2^32 + 1 once truncated to 1 worker and ran.
+    for (const char *bad : {"4294967297", "1025", "-1", "+2", " 2", "2x",
+                            "", "99999999999999999999"}) {
+        EXPECT_EXIT(parseWorkersOrDie(bad, "--workers"),
+                    ::testing::ExitedWithCode(1), "--workers")
+            << bad;
+    }
+}
+
+TEST(FlagParse, SplitListKeepsNonEmptyItems)
+{
+    EXPECT_EQ(splitList("tmm,,spmv,"),
+              (std::vector<std::string>{"tmm", "spmv"}));
+    EXPECT_TRUE(splitList("").empty());
+    EXPECT_EQ(parseUintOrDie<uint64_t>("18446744073709551615", "--seed"),
+              UINT64_MAX);
+}
+
 TEST(ScaleParse, EnvRoundTrip)
 {
     ASSERT_EQ(setenv("GPULP_SCALE", "0.125", 1), 0);

@@ -3,12 +3,11 @@
  * Observability layer tests: counter-shard merge correctness under
  * concurrent bumping (the property the per-worker sharding exists
  * for), zero-overhead-when-disabled semantics, trace JSON
- * well-formedness (parsed back with a minimal JSON reader), catalog
+ * well-formedness (parsed back with tests/test_json.h), catalog
  * invariants that docs/METRICS.md relies on, and the fault-campaign
  * JSON embedding a counter snapshot.
  */
 
-#include <cctype>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -23,6 +22,7 @@
 #include "obs/counters.h"
 #include "obs/trace.h"
 #include "test_files.h"
+#include "test_json.h"
 
 namespace gpulp::obs {
 namespace {
@@ -51,124 +51,15 @@ class ObsTest : public ::testing::Test
     }
 };
 
-// ---------------------------------------------------------------------
-// Minimal recursive-descent JSON reader — just enough to verify that
-// the traces and counter reports we emit are real JSON (objects,
-// arrays, strings with escapes, numbers, booleans, null).
-// ---------------------------------------------------------------------
-
-struct JsonParser {
-    const std::string &text;
-    size_t pos = 0;
-    bool ok = true;
-
-    void
-    ws()
-    {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos]))) {
-            ++pos;
-        }
-    }
-
-    bool
-    eat(char c)
-    {
-        ws();
-        if (pos < text.size() && text[pos] == c) {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-
-    void
-    fail()
-    {
-        ok = false;
-        pos = text.size();
-    }
-
-    void
-    string()
-    {
-        if (!eat('"'))
-            return fail();
-        while (pos < text.size() && text[pos] != '"') {
-            if (text[pos] == '\\')
-                ++pos; // skip escaped char
-            ++pos;
-        }
-        if (!eat('"'))
-            fail();
-    }
-
-    void
-    number()
-    {
-        size_t start = pos;
-        if (pos < text.size() && (text[pos] == '-' || text[pos] == '+'))
-            ++pos;
-        while (pos < text.size() &&
-               (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-                text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
-                text[pos] == '-' || text[pos] == '+')) {
-            ++pos;
-        }
-        if (pos == start)
-            fail();
-    }
-
-    void
-    value()
-    {
-        ws();
-        if (pos >= text.size())
-            return fail();
-        char c = text[pos];
-        if (c == '{') {
-            ++pos;
-            if (eat('}'))
-                return;
-            do {
-                string();
-                if (!eat(':'))
-                    return fail();
-                value();
-            } while (ok && eat(','));
-            if (!eat('}'))
-                fail();
-        } else if (c == '[') {
-            ++pos;
-            if (eat(']'))
-                return;
-            do {
-                value();
-            } while (ok && eat(','));
-            if (!eat(']'))
-                fail();
-        } else if (c == '"') {
-            string();
-        } else if (text.compare(pos, 4, "true") == 0) {
-            pos += 4;
-        } else if (text.compare(pos, 5, "false") == 0) {
-            pos += 5;
-        } else if (text.compare(pos, 4, "null") == 0) {
-            pos += 4;
-        } else {
-            number();
-        }
-    }
-};
-
-/** Parse @p text; true iff it is one complete JSON value. */
-bool
-parseJson(const std::string &text)
+/** @p snap as writeCounters() writes it, in an object of its own. */
+std::string
+countersJson(const CountersSnapshot &snap)
 {
-    JsonParser p{text};
-    p.value();
-    p.ws();
-    return p.ok && p.pos == p.text.size();
+    return jsonOf([&](JsonWriter &w) {
+        w.beginObject();
+        writeCounters(w, snap);
+        w.end();
+    });
 }
 
 std::string
@@ -246,8 +137,10 @@ TEST_F(ObsTest, DisabledMeansZeroCounters)
     EXPECT_EQ(snap[Ctr::SimBlocks], 0u);
     EXPECT_EQ(snap[Hist::SimBlockCycles].count, 0u);
     // And the JSON of an all-zero snapshot is the empty object.
-    EXPECT_EQ(countersJson(snap), "{}");
-    EXPECT_TRUE(parseJson(countersJson(snap)));
+    Json doc;
+    ASSERT_TRUE(parseJson(countersJson(snap), &doc));
+    EXPECT_EQ(doc["counters"].kind, Json::Object);
+    EXPECT_TRUE(doc["counters"].members.empty());
 }
 
 TEST_F(ObsTest, ResetZeroesEverything)
@@ -282,12 +175,15 @@ TEST_F(ObsTest, CountersJsonIsValidJson)
     add(Ctr::StoreCuckooKicks, 17);
     add(Ctr::NvmFlushedLines, 9);
     observe(Hist::StoreQuadProbeLen, 3);
-    std::string json = countersJson(snapshotCounters(), "  ");
-    EXPECT_TRUE(parseJson(json)) << json;
-    EXPECT_NE(json.find("\"store.cuckoo.kicks\": 17"), std::string::npos);
-    EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+    std::string json = countersJson(snapshotCounters());
+    Json doc;
+    ASSERT_TRUE(parseJson(json, &doc)) << json;
+    const Json &c = doc["counters"];
+    EXPECT_EQ(c["store.cuckoo.kicks"].u64(), 17u);
+    EXPECT_EQ(c["nvm.flushed_lines"].u64(), 9u);
+    EXPECT_EQ(c["histograms"]["store.quad.probe_len"]["count"].u64(), 1u);
     // Zero counters are elided.
-    EXPECT_EQ(json.find("\"nvm.crashes\""), std::string::npos);
+    EXPECT_FALSE(c.has("nvm.crashes"));
 }
 
 // ---------------------------------------------------------------------
@@ -337,24 +233,38 @@ TEST_F(ObsTest, TraceChromeJsonParsesBack)
     EXPECT_EQ(traceEventCount(), 3u);
     ASSERT_TRUE(flushTrace());
 
+    // The process-name record, then the events in recording order: the
+    // instant, then the spans as they closed.
     std::string chrome = slurp(path);
-    EXPECT_TRUE(parseJson(chrome)) << chrome;
-    EXPECT_NE(chrome.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(chrome.find("\"ph\": \"X\""), std::string::npos);
-    EXPECT_NE(chrome.find("\"ph\": \"i\""), std::string::npos);
-    EXPECT_NE(chrome.find("\"torn_lines\": 3"), std::string::npos);
+    Json doc;
+    ASSERT_TRUE(parseJson(chrome, &doc)) << chrome;
+    const Json &events = doc["traceEvents"];
+    ASSERT_EQ(events.items.size(), 4u) << chrome;
+    EXPECT_EQ(events[0]["ph"].text, "M");
+    EXPECT_EQ(events[1]["ph"].text, "i");
+    EXPECT_EQ(events[1]["args"]["torn_lines"].u64(), 3u);
+    EXPECT_FALSE(events[1].has("dur"));
+    EXPECT_EQ(events[2]["name"].text, "block");
+    EXPECT_EQ(events[2]["ph"].text, "X");
+    EXPECT_TRUE(events[2].has("dur"));
+    EXPECT_EQ(events[3]["args"]["blocks"].u64(), 4u);
 
-    // The JSONL sidecar: one JSON object per line.
+    // The JSONL sidecar: one JSON object per line, spans with dur_us.
     std::string jsonl = slurp(path + ".jsonl");
-    size_t lines = 0, start = 0;
+    std::vector<Json> lines;
+    size_t start = 0;
     while (start < jsonl.size()) {
         size_t nl = jsonl.find('\n', start);
         ASSERT_NE(nl, std::string::npos);
-        EXPECT_TRUE(parseJson(jsonl.substr(start, nl - start)));
-        ++lines;
+        lines.emplace_back();
+        EXPECT_TRUE(parseJson(jsonl.substr(start, nl - start), &lines.back()));
         start = nl + 1;
     }
-    EXPECT_EQ(lines, 3u);
+    ASSERT_EQ(lines.size(), 3u);
+    EXPECT_EQ(lines[0]["torn_lines"].u64(), 3u);
+    EXPECT_FALSE(lines[0].has("dur_us"));
+    EXPECT_EQ(lines[2]["name"].text, "launch");
+    EXPECT_TRUE(lines[2].has("dur_us"));
 }
 
 TEST_F(ObsTest, TraceSpansAreNoOpWhenDisabled)
@@ -422,14 +332,17 @@ TEST_F(ObsTest, FaultCampaignJsonEmbedsCounters)
 
     // ...and the JSON report embeds it as a "counters" object.
     const std::string path = tmpPath("obs_campaign.json");
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    writeCampaignJson(result, f);
-    std::fclose(f);
+    ASSERT_TRUE(writeJsonFile(
+        path.c_str(), [&](JsonWriter &w) { writeCampaignJson(w, result); },
+        /*quiet=*/true));
     std::string json = slurp(path);
-    EXPECT_TRUE(parseJson(json)) << json;
-    EXPECT_NE(json.find("\"counters\""), std::string::npos);
-    EXPECT_NE(json.find("\"store.array.inserts\""), std::string::npos);
+    Json doc;
+    ASSERT_TRUE(parseJson(json, &doc)) << json;
+    EXPECT_EQ(doc["counters"]["store.array.inserts"].u64(),
+              result.counters[Ctr::StoreArrayInserts]);
+    EXPECT_EQ(doc["cells"][0]["trials"].items.size(), 2u);
+    EXPECT_EQ(doc["cells"][0]["trials"][0]["crash_point"].u64(),
+              result.cells[0].trials[0].crash_point);
 }
 
 // ---------------------------------------------------------------------
@@ -502,11 +415,13 @@ TEST_F(ObsTest, HistogramJsonCarriesPercentiles)
 {
     for (int i = 0; i < 100; ++i)
         observe(Hist::ServiceRequestLatency, 64);
-    std::string json = countersJson(snapshotCounters(), "");
-    EXPECT_TRUE(parseJson(json)) << json;
-    EXPECT_NE(json.find("\"p50\": 64.0"), std::string::npos) << json;
-    EXPECT_NE(json.find("\"p99\": 64.0"), std::string::npos) << json;
-    EXPECT_NE(json.find("\"p999\": 64.0"), std::string::npos) << json;
+    std::string json = countersJson(snapshotCounters());
+    Json doc;
+    ASSERT_TRUE(parseJson(json, &doc)) << json;
+    const Json &h = doc["counters"]["histograms"]["service.request_latency"];
+    EXPECT_EQ(h["p50"].number, 64.0) << json;
+    EXPECT_EQ(h["p99"].number, 64.0) << json;
+    EXPECT_EQ(h["p999"].number, 64.0) << json;
 }
 
 } // namespace

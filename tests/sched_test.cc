@@ -267,7 +267,7 @@ TEST(SchedTest, GateLeadershipFollowsTidOrderNotFrontierTiming)
     RankGate gate(/*num_blocks=*/2, /*num_workers=*/2);
     const LaunchConfig cfg(Dim3(2), Dim3(2));
     BlockState block(mem, timing, /*shared_bytes=*/1024);
-    block.reset(/*nvm=*/nullptr, Dim3(1), cfg, /*start=*/0, &gate,
+    block.reset(/*nvm=*/nullptr, Dim3(1), cfg, /*start=*/0, gate,
                 /*rank=*/1);
     auto counter = ArrayRef<uint32_t>::allocate(mem, 1);
 

@@ -23,44 +23,17 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "harness/crashharness.h"
 #include "harness/driver.h"
 
 using namespace gpulp;
 
 namespace {
-
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> out;
-    size_t start = 0;
-    while (start <= text.size()) {
-        size_t comma = text.find(',', start);
-        if (comma == std::string::npos)
-            comma = text.size();
-        if (comma > start)
-            out.push_back(text.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
-uint64_t
-parseU64(const char *text, const char *what)
-{
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0')
-        GPULP_FATAL("%s must be a non-negative integer, got '%s'", what,
-                    text);
-    return v;
-}
 
 int
 usage(const char *argv0)
@@ -88,15 +61,11 @@ main(int argc, char **argv)
     bool quiet = false;
 
     for (int i = 1; i < argc; ++i) {
-        auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                GPULP_FATAL("%s needs a value", flag);
-            return argv[++i];
-        };
+        auto value = [&] { return flagValue(argc, argv, i); };
         if (std::strcmp(argv[i], "--workloads") == 0) {
-            workloads = splitList(value("--workloads"));
+            workloads = splitList(value());
         } else if (std::strcmp(argv[i], "--device") == 0) {
-            std::string dev = value("--device");
+            std::string dev = value();
             if (dev == "mem")
                 base.file_device = false;
             else if (dev == "file")
@@ -105,33 +74,29 @@ main(int argc, char **argv)
                 GPULP_FATAL("unknown device '%s' (want mem or file)",
                             dev.c_str());
         } else if (std::strcmp(argv[i], "--scale") == 0) {
-            base.scale = parseScaleOrDie(value("--scale"), "--scale");
+            base.scale = parseScaleOrDie(value(), "--scale");
         } else if (std::strcmp(argv[i], "--seed") == 0) {
-            base.seed = parseU64(value("--seed"), "--seed");
+            base.seed = parseUintOrDie<uint64_t>(value(), "--seed");
         } else if (std::strcmp(argv[i], "--grid") == 0) {
-            base.grid_points =
-                static_cast<uint32_t>(parseU64(value("--grid"), "--grid"));
+            base.grid_points = parseUintOrDie<uint32_t>(value(), "--grid");
         } else if (std::strcmp(argv[i], "--random") == 0) {
-            base.random_points = static_cast<uint32_t>(
-                parseU64(value("--random"), "--random"));
+            base.random_points = parseUintOrDie<uint32_t>(value(), "--random");
         } else if (std::strcmp(argv[i], "--workers") == 0) {
-            base.num_workers = static_cast<uint32_t>(
-                parseU64(value("--workers"), "--workers"));
+            base.num_workers = parseWorkersOrDie(value(), "--workers");
         } else if (std::strcmp(argv[i], "--table") == 0) {
-            base.table = tableKindFromString(value("--table"));
+            base.table = tableKindFromString(value());
         } else if (std::strcmp(argv[i], "--checksum") == 0) {
-            base.checksum = checksumKindFromString(value("--checksum"));
+            base.checksum = checksumKindFromString(value());
         } else if (std::strcmp(argv[i], "--batch") == 0) {
-            base.log_batch_bytes =
-                static_cast<size_t>(parseU64(value("--batch"), "--batch"));
+            base.log_batch_bytes = parseUintOrDie<size_t>(value(), "--batch");
         } else if (std::strcmp(argv[i], "--log") == 0) {
-            base.log_path = value("--log");
+            base.log_path = value();
         } else if (std::strcmp(argv[i], "--work-dir") == 0) {
-            base.work_dir = value("--work-dir");
+            base.work_dir = value();
         } else if (std::strcmp(argv[i], "--keep-files") == 0) {
             base.keep_files = true;
         } else if (std::strcmp(argv[i], "--json") == 0) {
-            json_path = value("--json");
+            json_path = value();
         } else if (std::strcmp(argv[i], "--quiet") == 0) {
             quiet = true;
         } else {
@@ -186,26 +151,18 @@ main(int argc, char **argv)
         std::printf("harness verdict: %s\n", all_passed ? "PASS" : "FAIL");
     }
 
-    if (json_path) {
-        std::FILE *f = std::fopen(json_path, "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot open %s for writing\n", json_path);
-            return 1;
-        }
-        std::fprintf(f, "{\n");
-        std::fprintf(f, "  \"harness\": \"kill9_crash_recovery\",\n");
-        std::fprintf(f, "  \"passed\": %s,\n",
-                     all_passed ? "true" : "false");
-        std::fprintf(f, "  \"runs\": [\n");
-        for (size_t i = 0; i < results.size(); ++i) {
-            writeCrashHarnessJson(results[i], f);
-            std::fprintf(f, "%s\n", i + 1 < results.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        if (!quiet)
-            std::printf("wrote %s\n", json_path);
-    }
+    const auto write = [&](JsonWriter &w) {
+        w.beginObject();
+        w.member("harness", "kill9_crash_recovery");
+        w.member("passed", all_passed);
+        w.beginArray("runs");
+        for (const CrashHarnessResult &r : results)
+            writeCrashHarnessJson(w, r);
+        w.end();
+        w.end();
+    };
+    if (!writeJsonFile(json_path, write, quiet))
+        return 1;
 
     return all_passed ? 0 : 1;
 }

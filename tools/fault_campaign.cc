@@ -25,11 +25,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
+#include "common/json.h"
 #include "harness/driver.h"
 #include "harness/faultcampaign.h"
 #include "obs/counters.h"
@@ -38,33 +37,6 @@
 using namespace gpulp;
 
 namespace {
-
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> out;
-    size_t start = 0;
-    while (start <= text.size()) {
-        size_t comma = text.find(',', start);
-        if (comma == std::string::npos)
-            comma = text.size();
-        if (comma > start)
-            out.push_back(text.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
-uint64_t
-parseU64(const char *text, const char *what)
-{
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0')
-        GPULP_FATAL("%s must be a non-negative integer, got '%s'", what,
-                    text);
-    return v;
-}
 
 int
 usage(const char *argv0)
@@ -93,42 +65,35 @@ main(int argc, char **argv)
     bool quiet = false;
 
     for (int i = 1; i < argc; ++i) {
-        auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                GPULP_FATAL("%s needs a value", flag);
-            return argv[++i];
-        };
+        auto value = [&] { return flagValue(argc, argv, i); };
         if (std::strcmp(argv[i], "--scale") == 0) {
-            opts.scale = parseScaleOrDie(value("--scale"), "--scale");
+            opts.scale = parseScaleOrDie(value(), "--scale");
         } else if (std::strcmp(argv[i], "--seed") == 0) {
-            opts.seed = parseU64(value("--seed"), "--seed");
+            opts.seed = parseUintOrDie<uint64_t>(value(), "--seed");
         } else if (std::strcmp(argv[i], "--grid") == 0) {
-            opts.grid_points =
-                static_cast<uint32_t>(parseU64(value("--grid"), "--grid"));
+            opts.grid_points = parseUintOrDie<uint32_t>(value(), "--grid");
         } else if (std::strcmp(argv[i], "--random") == 0) {
-            opts.random_points = static_cast<uint32_t>(
-                parseU64(value("--random"), "--random"));
+            opts.random_points = parseUintOrDie<uint32_t>(value(), "--random");
         } else if (std::strcmp(argv[i], "--workers") == 0) {
-            opts.num_workers = static_cast<uint32_t>(
-                parseU64(value("--workers"), "--workers"));
+            opts.num_workers = parseWorkersOrDie(value(), "--workers");
         } else if (std::strcmp(argv[i], "--workloads") == 0) {
-            opts.workloads = splitList(value("--workloads"));
+            opts.workloads = splitList(value());
         } else if (std::strcmp(argv[i], "--models") == 0) {
             opts.models.clear();
-            for (const std::string &m : splitList(value("--models")))
+            for (const std::string &m : splitList(value()))
                 opts.models.push_back(persistModelFromString(m));
         } else if (std::strcmp(argv[i], "--tables") == 0) {
             opts.tables.clear();
-            for (const std::string &t : splitList(value("--tables")))
+            for (const std::string &t : splitList(value()))
                 opts.tables.push_back(tableKindFromString(t));
         } else if (std::strcmp(argv[i], "--checksums") == 0) {
             opts.checksums.clear();
-            for (const std::string &k : splitList(value("--checksums")))
+            for (const std::string &k : splitList(value()))
                 opts.checksums.push_back(checksumKindFromString(k));
         } else if (std::strcmp(argv[i], "--json") == 0) {
-            json_path = value("--json");
+            json_path = value();
         } else if (std::strcmp(argv[i], "--trace") == 0) {
-            trace_path = value("--trace");
+            trace_path = value();
         } else if (std::strcmp(argv[i], "--quiet") == 0) {
             quiet = true;
         } else {
@@ -180,17 +145,9 @@ main(int argc, char **argv)
     if (obs::traceEnabled() && obs::flushTrace() && !quiet)
         std::printf("wrote Chrome trace %s (+.jsonl)\n",
                     obs::tracePath().c_str());
-    if (json_path) {
-        std::FILE *f = std::fopen(json_path, "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot open %s for writing\n", json_path);
-            return 1;
-        }
-        writeCampaignJson(result, f);
-        std::fclose(f);
-        if (!quiet)
-            std::printf("wrote %s\n", json_path);
-    }
+    const auto write = [&](JsonWriter &w) { writeCampaignJson(w, result); };
+    if (!writeJsonFile(json_path, write, quiet))
+        return 1;
 
     return result.passed() ? 0 : 1;
 }

@@ -24,8 +24,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 
+#include "common/json.h"
+#include "harness/driver.h"
 #include "obs/counters.h"
 #include "service/server.h"
 
@@ -33,17 +34,6 @@ using namespace gpulp;
 using namespace gpulp::service;
 
 namespace {
-
-uint64_t
-parseU64(const char *text, const char *what)
-{
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0')
-        GPULP_FATAL("%s must be a non-negative integer, got '%s'", what,
-                    text);
-    return v;
-}
 
 double
 parseTheta(const char *text)
@@ -68,81 +58,6 @@ parseMix(const char *text)
     mix.search_pct = search;
     mix.erase_pct = erase;
     return mix;
-}
-
-void
-writeReportJson(const ServeReport &report, const KvServerOptions &opts,
-                uint64_t ops, uint32_t crash_points, std::FILE *out)
-{
-    std::fprintf(out, "{\n  \"config\": {");
-    std::fprintf(out,
-                 "\"ops\": %" PRIu64 ", \"zipf_theta\": %.3f, "
-                 "\"mix\": \"%u/%u/%u\", \"crash_points\": %u, "
-                 "\"seed\": %" PRIu64 ", \"batch_ops\": %u, "
-                 "\"buckets\": %u, \"keyspace\": %u, "
-                 "\"checkpoint_batches\": %u",
-                 ops, opts.zipf_theta, opts.mix.insert_pct,
-                 opts.mix.search_pct, opts.mix.erase_pct, crash_points,
-                 opts.seed, opts.batch_ops, opts.buckets, opts.keyspace,
-                 opts.checkpoint_batches);
-    std::fprintf(out, "},\n");
-    std::fprintf(out,
-                 "  \"requests_enqueued\": %" PRIu64 ",\n"
-                 "  \"requests_acked\": %" PRIu64 ",\n"
-                 "  \"inserts_coalesced\": %" PRIu64 ",\n"
-                 "  \"batches_served\": %" PRIu64 ",\n"
-                 "  \"insert_drops\": %" PRIu64 ",\n"
-                 "  \"search_misses\": %" PRIu64 ",\n"
-                 "  \"checkpoints\": %" PRIu64 ",\n"
-                 "  \"total_cycles\": %" PRIu64 ",\n"
-                 "  \"device_busy_cycles\": %" PRIu64 ",\n",
-                 report.requests_enqueued, report.requests_acked,
-                 report.inserts_coalesced, report.batches_served,
-                 report.insert_drops, report.search_misses,
-                 report.checkpoints,
-                 static_cast<uint64_t>(report.total_cycles),
-                 static_cast<uint64_t>(report.device_busy_cycles));
-    std::fprintf(out,
-                 "  \"latency\": {\"count\": %" PRIu64
-                 ", \"mean\": %.1f, \"p50\": %.1f, \"p99\": %.1f, "
-                 "\"p999\": %.1f, \"max\": %" PRIu64 "},\n",
-                 report.latency.count, report.latency.mean(),
-                 report.latency.percentile(0.50),
-                 report.latency.percentile(0.99),
-                 report.latency.percentile(0.999), report.latency.max);
-    std::fprintf(out, "  \"crashes\": [");
-    for (size_t i = 0; i < report.crashes.size(); ++i) {
-        const CrashEvent &ev = report.crashes[i];
-        std::fprintf(out,
-                     "%s\n    {\"store_point\": %" PRIu64
-                     ", \"at_cycle\": %" PRIu64 ", \"torn_lines\": %" PRIu64
-                     ", \"batches_replayed\": %" PRIu64
-                     ", \"blocks_recovered\": %" PRIu64
-                     ", \"recovery_rounds\": %" PRIu64
-                     ", \"recovery_cycles\": %" PRIu64
-                     ", \"availability_gap\": %" PRIu64
-                     ", \"requests_recovered\": %" PRIu64
-                     ", \"converged\": %s}",
-                     i == 0 ? "" : ",", ev.store_point, ev.at_cycle,
-                     ev.torn_lines, ev.batches_replayed,
-                     ev.blocks_recovered, ev.recovery_rounds,
-                     static_cast<uint64_t>(ev.recovery_cycles),
-                     static_cast<uint64_t>(ev.availability_gap),
-                     ev.requests_recovered,
-                     ev.converged ? "true" : "false");
-    }
-    std::fprintf(out, "%s],\n",
-                 report.crashes.empty() ? "" : "\n  ");
-    std::fprintf(out,
-                 "  \"acked_lost\": %" PRIu64 ",\n"
-                 "  \"phantom_keys\": %" PRIu64 ",\n"
-                 "  \"drops_resurrected\": %" PRIu64 ",\n"
-                 "  \"audit_ok\": %s,\n  ",
-                 report.acked_lost, report.phantom_keys,
-                 report.drops_resurrected,
-                 report.audit_ok ? "true" : "false");
-    obs::writeCountersJson(obs::snapshotCounters(), out, "  ");
-    std::fprintf(out, "\n}\n");
 }
 
 int
@@ -170,39 +85,30 @@ main(int argc, char **argv)
     bool quiet = false;
 
     for (int i = 1; i < argc; ++i) {
-        auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                GPULP_FATAL("%s needs a value", flag);
-            return argv[++i];
-        };
+        auto value = [&] { return flagValue(argc, argv, i); };
         if (std::strcmp(argv[i], "--ops") == 0) {
-            ops = parseU64(value("--ops"), "--ops");
+            ops = parseUintOrDie<uint64_t>(value(), "--ops");
         } else if (std::strcmp(argv[i], "--zipf") == 0) {
-            opts.zipf_theta = parseTheta(value("--zipf"));
+            opts.zipf_theta = parseTheta(value());
         } else if (std::strcmp(argv[i], "--mix") == 0) {
-            opts.mix = parseMix(value("--mix"));
+            opts.mix = parseMix(value());
         } else if (std::strcmp(argv[i], "--crash-points") == 0) {
-            crash_points = static_cast<uint32_t>(
-                parseU64(value("--crash-points"), "--crash-points"));
+            crash_points = parseUintOrDie<uint32_t>(value(), "--crash-points");
         } else if (std::strcmp(argv[i], "--seed") == 0) {
-            opts.seed = parseU64(value("--seed"), "--seed");
+            opts.seed = parseUintOrDie<uint64_t>(value(), "--seed");
         } else if (std::strcmp(argv[i], "--batch") == 0) {
-            opts.batch_ops = static_cast<uint32_t>(
-                parseU64(value("--batch"), "--batch"));
+            opts.batch_ops = parseUintOrDie<uint32_t>(value(), "--batch");
         } else if (std::strcmp(argv[i], "--buckets") == 0) {
-            opts.buckets = static_cast<uint32_t>(
-                parseU64(value("--buckets"), "--buckets"));
+            opts.buckets = parseUintOrDie<uint32_t>(value(), "--buckets");
         } else if (std::strcmp(argv[i], "--keyspace") == 0) {
-            opts.keyspace = static_cast<uint32_t>(
-                parseU64(value("--keyspace"), "--keyspace"));
+            opts.keyspace = parseUintOrDie<uint32_t>(value(), "--keyspace");
         } else if (std::strcmp(argv[i], "--checkpoint") == 0) {
-            opts.checkpoint_batches = static_cast<uint32_t>(
-                parseU64(value("--checkpoint"), "--checkpoint"));
+            opts.checkpoint_batches = parseUintOrDie<uint32_t>(
+                value(), "--checkpoint");
         } else if (std::strcmp(argv[i], "--workers") == 0) {
-            opts.num_workers = static_cast<uint32_t>(
-                parseU64(value("--workers"), "--workers"));
+            opts.num_workers = parseWorkersOrDie(value(), "--workers");
         } else if (std::strcmp(argv[i], "--json") == 0) {
-            json_path = value("--json");
+            json_path = value();
         } else if (std::strcmp(argv[i], "--quiet") == 0) {
             quiet = true;
         } else {
@@ -259,13 +165,12 @@ main(int argc, char **argv)
                     report.audit_ok ? "PASS" : "FAIL");
     }
 
-    if (json_path != nullptr) {
-        std::FILE *out = std::fopen(json_path, "w");
-        if (out == nullptr)
-            GPULP_FATAL("cannot open '%s' for writing", json_path);
-        writeReportJson(report, opts, ops, crash_points, out);
-        std::fclose(out);
-    }
+    const auto write = [&](JsonWriter &w) {
+        writeServeReportJson(w, report, opts, ops, crash_points,
+                             obs::snapshotCounters());
+    };
+    if (!writeJsonFile(json_path, write, quiet))
+        return 1;
 
     bool converged = true;
     for (const CrashEvent &ev : report.crashes)

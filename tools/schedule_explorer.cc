@@ -26,12 +26,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "analysis/explorer.h"
+#include "common/json.h"
 #include "harness/driver.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
@@ -39,33 +38,6 @@
 using namespace gpulp;
 
 namespace {
-
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> out;
-    size_t start = 0;
-    while (start <= text.size()) {
-        size_t comma = text.find(',', start);
-        if (comma == std::string::npos)
-            comma = text.size();
-        if (comma > start)
-            out.push_back(text.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
-}
-
-uint64_t
-parseU64(const char *text, const char *what)
-{
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0')
-        GPULP_FATAL("%s must be a non-negative integer, got '%s'", what,
-                    text);
-    return v;
-}
 
 int
 usage(const char *argv0)
@@ -94,42 +66,36 @@ main(int argc, char **argv)
     bool quiet = false;
 
     for (int i = 1; i < argc; ++i) {
-        auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                GPULP_FATAL("%s needs a value", flag);
-            return argv[++i];
-        };
+        auto value = [&] { return flagValue(argc, argv, i); };
         if (std::strcmp(argv[i], "--scale") == 0) {
-            opts.scale = parseScaleOrDie(value("--scale"), "--scale");
+            opts.scale = parseScaleOrDie(value(), "--scale");
         } else if (std::strcmp(argv[i], "--seed") == 0) {
-            opts.seed = parseU64(value("--seed"), "--seed");
+            opts.seed = parseUintOrDie<uint64_t>(value(), "--seed");
         } else if (std::strcmp(argv[i], "--schedules") == 0) {
-            opts.schedules = static_cast<uint32_t>(
-                parseU64(value("--schedules"), "--schedules"));
+            opts.schedules = parseUintOrDie<uint32_t>(value(), "--schedules");
         } else if (std::strcmp(argv[i], "--workloads") == 0) {
-            opts.workloads = splitList(value("--workloads"));
+            opts.workloads = splitList(value());
         } else if (std::strcmp(argv[i], "--policies") == 0) {
             opts.policies.clear();
-            for (const std::string &p : splitList(value("--policies")))
+            for (const std::string &p : splitList(value()))
                 opts.policies.push_back(policyKindFromString(p));
         } else if (std::strcmp(argv[i], "--table") == 0) {
-            opts.table = tableKindFromString(value("--table"));
+            opts.table = tableKindFromString(value());
         } else if (std::strcmp(argv[i], "--crash-points") == 0) {
-            opts.crash_points = static_cast<uint32_t>(
-                parseU64(value("--crash-points"), "--crash-points"));
+            opts.crash_points = parseUintOrDie<uint32_t>(
+                value(), "--crash-points");
         } else if (std::strcmp(argv[i], "--crash-schedules") == 0) {
-            opts.crash_schedules = static_cast<uint32_t>(
-                parseU64(value("--crash-schedules"), "--crash-schedules"));
+            opts.crash_schedules = parseUintOrDie<uint32_t>(
+                value(), "--crash-schedules");
         } else if (std::strcmp(argv[i], "--workers") == 0) {
-            opts.num_workers = static_cast<uint32_t>(
-                parseU64(value("--workers"), "--workers"));
+            opts.num_workers = parseWorkersOrDie(value(), "--workers");
         } else if (std::strcmp(argv[i], "--min-distinct") == 0) {
-            opts.min_distinct_per_workload = static_cast<uint32_t>(
-                parseU64(value("--min-distinct"), "--min-distinct"));
+            opts.min_distinct_per_workload = parseUintOrDie<uint32_t>(
+                value(), "--min-distinct");
         } else if (std::strcmp(argv[i], "--json") == 0) {
-            json_path = value("--json");
+            json_path = value();
         } else if (std::strcmp(argv[i], "--trace") == 0) {
-            trace_path = value("--trace");
+            trace_path = value();
         } else if (std::strcmp(argv[i], "--quiet") == 0) {
             quiet = true;
         } else {
@@ -183,17 +149,9 @@ main(int argc, char **argv)
     if (obs::traceEnabled() && obs::flushTrace() && !quiet)
         std::printf("wrote Chrome trace %s (+.jsonl)\n",
                     obs::tracePath().c_str());
-    if (json_path) {
-        std::FILE *f = std::fopen(json_path, "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot open %s for writing\n", json_path);
-            return 1;
-        }
-        writeExplorationJson(result, f);
-        std::fclose(f);
-        if (!quiet)
-            std::printf("wrote %s\n", json_path);
-    }
+    const auto write = [&](JsonWriter &w) { writeExplorationJson(w, result); };
+    if (!writeJsonFile(json_path, write, quiet))
+        return 1;
 
     return result.passed() ? 0 : 1;
 }
